@@ -15,15 +15,17 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .errors import LorenzError, NoRootFound, ResourceLimit
 from .kneading import detect_period, kneading_prefixes
-from .laps import entropy_laps, lap_count
+from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _lap_estimate, entropy_laps, lap_states
 from .maps import UPPER, BranchPair, LorenzMap, make_affine_pair, parse_scalar
-from .spectral import LAPS, SPECTRAL, entropy_spectral
+from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
 from .sweep import (
     compare_methods,
     cross_confirm_features,
+    default_order,
     detect_nonmonotonic,
     sweep,
     write_csv,
@@ -67,33 +69,33 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _estimate_json(p, est) -> dict:
+    # p and every EntropyEstimate field, null for a point without an estimate
+    return {"p": float(p), **{f.name: getattr(est, f.name, None) for f in fields(EntropyEstimate)}}
+
+
 def _workers(args) -> int | None:
     if getattr(args, "workers", None) is not None:
         return args.workers
     env = os.environ.get("LORENZ_WORKERS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise LorenzError(f"LORENZ_WORKERS must be an integer, got {env!r}") from exc
 
 
 def _cmd_entropy(args) -> int:
     bp = _load_pair(args)
     exact = args.mode == "exact"
     p = _parse_p(args, exact)
-    n = args.n if args.n is not None else (500 if args.method == SPECTRAL else 50)
+    n = args.n if args.n is not None else default_order(args.method)
     if args.method == SPECTRAL:
         est = entropy_spectral(bp, p, n, args.tol)
     else:
         est = entropy_laps(LorenzMap(bp, p, UPPER), n, args.window)
-    _emit(
-        {
-            "p": float(p),
-            "entropy": est.entropy,
-            "gamma": est.gamma,
-            "method": est.method,
-            "order": est.order,
-            "error_bound": est.error_bound,
-            "certified": est.certified,
-        }
-    )
+    _emit(_estimate_json(p, est))
     return 0
 
 
@@ -125,16 +127,16 @@ def _cmd_laps(args) -> int:
     bp = _load_pair(args)
     exact = args.mode == "exact"
     p = _parse_p(args, exact)
-    m = LorenzMap(bp, p, UPPER)
-    laps, variation = lap_count(m, args.n)
-    est = entropy_laps(m, args.n, args.window)
+    states = lap_states(LorenzMap(bp, p, UPPER), args.n)
+    est = _lap_estimate(states, args.window)
+    laps = states[-1].total_laps
     _emit(
         {
             "p": float(p),
             "order": args.n,
             "window": args.window,
             "laps": str(laps),
-            "variation": float(variation),
+            "variation": float(states[-1].total_variation),
             "entropy": est.entropy,
             "lap_rate": math.log(laps) / args.n,
             "error_bound": est.error_bound,
@@ -146,6 +148,7 @@ def _cmd_laps(args) -> int:
 def _cmd_sweep(args) -> int:
     # grid geometry wants the exact pair; per-point arithmetic follows --mode
     bp = _load_pair(args, exact=True)
+    workers = _workers(args)
     records = sweep(
         bp,
         parse_scalar(args.p_min),
@@ -156,20 +159,10 @@ def _cmd_sweep(args) -> int:
         tol=args.tol,
         window=args.window,
         mode=args.mode,
-        workers=_workers(args),
+        workers=workers,
     )
     if args.format == "json":
-        payload = [
-            {
-                "p": r.p,
-                "entropy": r.estimate.entropy if r.estimate else None,
-                "gamma": r.estimate.gamma if r.estimate else None,
-                "error_bound": r.estimate.error_bound if r.estimate else None,
-                "status": r.status,
-            }
-            for r in records
-        ]
-        text = json.dumps(payload)
+        text = json.dumps([{**_estimate_json(r.p, r.estimate), "status": r.status} for r in records])
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text + "\n")
@@ -190,21 +183,10 @@ def _cmd_sweep(args) -> int:
                 records,
                 features,
                 prominence_tol=args.prominence,
-                workers=_workers(args),
+                workers=workers,
             )
         with open(args.features_out, "w", encoding="utf-8", newline="") as handle:
-            json.dump(
-                [
-                    {
-                        "p_low": f.p_low,
-                        "p_high": f.p_high,
-                        "prominence": f.prominence,
-                        "direction": f.direction,
-                    }
-                    for f in features
-                ],
-                handle,
-            )
+            json.dump([asdict(f) for f in features], handle)
             handle.write("\n")
     return 0
 
@@ -258,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("--p", required=True)
     entropy.add_argument("--method", choices=(SPECTRAL, LAPS), default=SPECTRAL)
     entropy.add_argument("--n", type=int, default=None)
-    entropy.add_argument("--tol", type=float, default=1e-7)
-    entropy.add_argument("--window", type=int, default=10)
+    entropy.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    entropy.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     _add_mode_arg(entropy, "float")
     entropy.set_defaults(func=_cmd_entropy)
 
@@ -273,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     laps = subs.add_parser("laps", help="lap count, variation and lap entropy at p")
     _add_branch_args(laps)
     laps.add_argument("--p", required=True)
-    laps.add_argument("--n", type=int, default=50)
-    laps.add_argument("--window", type=int, default=10)
+    laps.add_argument("--n", type=int, default=DEFAULT_ITERATES)
+    laps.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     _add_mode_arg(laps, "exact")
     laps.set_defaults(func=_cmd_laps)
 
@@ -285,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--points", type=int, required=True)
     swp.add_argument("--method", choices=(SPECTRAL, LAPS), default=SPECTRAL)
     swp.add_argument("--n", type=int, default=None)
-    swp.add_argument("--tol", type=float, default=1e-7)
-    swp.add_argument("--window", type=int, default=10)
+    swp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    swp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     swp.add_argument("--mode", choices=("exact", "float"), default=None)
     swp.add_argument("--out", help="CSV/JSON output path (default: stdout)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -303,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--p-min", required=True)
     comp.add_argument("--p-max", required=True)
     comp.add_argument("--points", type=int, required=True)
-    comp.add_argument("--spectral-n", type=int, default=500)
-    comp.add_argument("--laps-n", type=int, default=50)
-    comp.add_argument("--tol", type=float, default=1e-7)
-    comp.add_argument("--window", type=int, default=10)
+    comp.add_argument("--spectral-n", type=int, default=DEFAULT_ORDER)
+    comp.add_argument("--laps-n", type=int, default=DEFAULT_ITERATES)
+    comp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    comp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     comp.add_argument("--workers", type=int, default=None)
     comp.set_defaults(func=_cmd_compare)
 

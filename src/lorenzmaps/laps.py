@@ -155,9 +155,19 @@ def entropy_laps(
     window shortened when n < 2*window), and the estimate is never
     certified.
     """
+    _check_window(n, window)
+    return _lap_estimate(lap_states(m, n, max_classes), window)
+
+
+def _check_window(n: int, window: int) -> None:
     if window < 1 or n <= window:
         raise DomainError("need n > window >= 1")
-    states = lap_states(m, n, max_classes)
+
+
+def _lap_estimate(states, window: int) -> EntropyEstimate:
+    # entropy_laps from the states of steps 1..n
+    n = len(states)
+    _check_window(n, window)
     lv = [0.0] + [_ln(s.total_variation) for s in states]  # lv[0] is ln Var(T^0) = 0
     slope = (lv[n] - lv[n - window]) / window
     k = n - window

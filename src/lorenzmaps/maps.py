@@ -244,13 +244,20 @@ def _branch_json(spec: BranchSpec) -> dict:
 
 
 def _branch_from_json(obj: dict, role: str, exact: bool) -> BranchSpec:
+    if not isinstance(obj, dict):
+        raise InvalidBranch(f"{role} must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "affine":
+        if "slope" not in obj:
+            raise InvalidBranch(f"affine branch {role} needs a 'slope'")
         slope = parse_scalar(obj["slope"], exact)
         return BranchSpec.affine_from_zero(slope) if role == "f0" else BranchSpec.affine_to_one(slope)
     if kind == "pwl":
-        points = tuple((parse_scalar(x, exact), parse_scalar(y, exact)) for x, y in obj["points"])
-        return BranchSpec(points)
+        try:
+            pairs = [(x, y) for x, y in obj["points"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidBranch(f"pwl branch {role} needs 'points' as a list of [x, y] pairs") from exc
+        return BranchSpec(tuple((parse_scalar(x, exact), parse_scalar(y, exact)) for x, y in pairs))
     raise InvalidBranch(f"unknown branch type {kind!r} for {role}")
 
 

@@ -19,6 +19,7 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -31,9 +32,9 @@ from .errors import (
     RangeError,
     ResourceLimit,
 )
-from .laps import DEFAULT_MAX_CLASSES, DEFAULT_WINDOW, entropy_laps
+from .laps import DEFAULT_ITERATES, DEFAULT_MAX_CLASSES, DEFAULT_WINDOW, entropy_laps
 from .maps import UPPER, BranchPair, LorenzMap
-from .spectral import LAPS, SPECTRAL, DEFAULT_TOL, EntropyEstimate, entropy_spectral
+from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
 
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no-root"
@@ -82,12 +83,12 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     return [lo + i * step for i in range(points)]
 
 
-def _default_order(method: str) -> int:
-    return 500 if method == SPECTRAL else 50
+def default_order(method: str) -> int:
+    """Default series order (spectral) or iterate count (laps) of a method."""
+    return DEFAULT_ORDER if method == SPECTRAL else DEFAULT_ITERATES
 
 
-def _sweep_point(task) -> SweepRecord:
-    bp, p, method, n, tol, window, max_classes = task
+def _sweep_point(bp, method, n, tol, window, max_classes, p) -> SweepRecord:
     try:
         if method == SPECTRAL:
             est = entropy_spectral(bp, p, n, tol)
@@ -98,6 +99,15 @@ def _sweep_point(task) -> SweepRecord:
         return SweepRecord(float(p), None, STATUS_NO_ROOT)
     except ResourceLimit:
         return SweepRecord(float(p), None, STATUS_RESOURCE_LIMIT)
+
+
+def _run_points(fn, ps, workers) -> list:
+    """[fn(p) for p in ps], in a process pool when workers > 1; order is kept."""
+    if workers is not None and workers > 1:
+        chunk = max(1, len(ps) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, ps, chunksize=chunk))
+    return [fn(p) for p in ps]
 
 
 def sweep(
@@ -126,7 +136,7 @@ def sweep(
         raise DomainError(f"unknown mode {mode!r}")
     grid = _grid(bp, p_min, p_max, points)
     if n is None:
-        n = _default_order(method)
+        n = default_order(method)
     if mode is None:
         mode = "float" if method == SPECTRAL else "exact"
     if mode == "float":
@@ -135,14 +145,8 @@ def sweep(
     else:
         bp_run = bp.to_exact()
         ps = grid
-    tasks = [(bp_run, p, method, n, tol, window, max_classes) for p in ps]
-    if workers is not None and workers > 1:
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_point, tasks, chunksize=chunk))
-    else:
-        records = [_sweep_point(t) for t in tasks]
-    return records
+    point = partial(_sweep_point, bp_run, method, n, tol, window, max_classes)
+    return _run_points(point, ps, workers)
 
 
 def _ok_arrays(records):
@@ -225,7 +229,7 @@ def cross_confirm_features(
     features,
     *,
     prominence_tol: float,
-    n: int = 50,
+    n: int = DEFAULT_ITERATES,
     window: int = DEFAULT_WINDOW,
     pad: int = 3,
     workers: int | None = None,
@@ -236,26 +240,25 @@ def cross_confirm_features(
     For each candidate, the lap estimator is run on the sweep's p values
     covering the feature (padded by ``pad`` grid points) and must show a
     same-direction feature overlapping in p whose prominence matches within
-    the two methods' combined error bounds.
+    the two methods' combined error bounds.  A lap record depends only on
+    p, so the union of all sub-grids is evaluated once, each distinct p a
+    single time, in one pool when ``workers`` > 1.
     """
     ok, ps, _ = _ok_arrays(records)
     if len(ps) < 3 or not features:
         return []
-    confirmed = []
+    spans = []
     for feat in features:
         i_lo = max(0, int(np.searchsorted(ps, feat.p_low)) - pad)
         i_hi = min(len(ps) - 1, int(np.searchsorted(ps, feat.p_high)) + pad)
-        if i_hi - i_lo < 2:
-            continue
-        sub = [Fraction(p) for p in ps[i_lo : i_hi + 1]]
-        tasks = [
-            (bp.to_exact(), p, LAPS, n, DEFAULT_TOL, window, max_classes) for p in sub
-        ]
-        if workers is not None and workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                lap_records = list(pool.map(_sweep_point, tasks))
-        else:
-            lap_records = [_sweep_point(t) for t in tasks]
+        if i_hi - i_lo >= 2:
+            spans.append((feat, i_lo, i_hi))
+    union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
+    point = partial(_sweep_point, bp.to_exact(), LAPS, n, DEFAULT_TOL, window, max_classes)
+    lap_at = dict(zip(union, _run_points(point, [Fraction(ps[i]) for i in union], workers)))
+    confirmed = []
+    for feat, i_lo, i_hi in spans:
+        lap_records = [lap_at[i] for i in range(i_lo, i_hi + 1)]
         err = _max_error(ok[i_lo : i_hi + 1], DEFAULT_TOL) + _max_error(lap_records, 0.0)
         floor = max(prominence_tol - err, 16 * DEFAULT_TOL)
         lap_features = detect_nonmonotonic(lap_records, floor)

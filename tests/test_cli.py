@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -186,6 +187,55 @@ class TestSweepCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 7
 
+    def test_json_rows_carry_entropy_keys(self, capsys, monkeypatch):
+        base = ["--b0", "1.5", "--b1", "1.5", "--n", "60"]
+        _, out, _ = run_cli(capsys, "entropy", "--p", "0.5", *base)
+        entropy_keys = list(json.loads(out))
+        _, out, _ = run_cli(
+            capsys, "sweep", "--p-min", "0.45", "--p-max", "0.55", "--points", "3",
+            "--format", "json", *base,
+        )
+        row = json.loads(out)[0]
+        assert list(row) == entropy_keys + ["status"]
+        assert row["method"] == "spectral" and row["order"] == 60
+
+        from lorenzmaps import NoRootFound
+
+        def explode(*args, **kwargs):
+            raise NoRootFound("forced")
+
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_spectral", explode)
+        _, out, _ = run_cli(
+            capsys, "sweep", "--p-min", "0.45", "--p-max", "0.55", "--points", "3",
+            "--format", "json", *base,
+        )
+        row = json.loads(out)[0]
+        assert row["status"] == "no-root"
+        assert all(row[key] is None for key in entropy_keys if key != "p")
+
+    def test_bad_workers_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("LORENZ_WORKERS", "abc")
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--b0", "1.5", "--b1", "1.5",
+            "--p-min", "0.45", "--p-max", "0.55", "--points", "3", "--n", "60",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "LORENZ_WORKERS" in err
+
+    def test_features_out_confirmed(self, capsys, tmp_path):
+        feats = tmp_path / "features.json"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--b0", "1.1", "--b1", "1.9",
+            "--p-min", "9/19", "--p-max", "10/11", "--points", "60",
+            "--features-out", str(feats), "--workers", "2",
+        )
+        assert code == 0
+        confirmed = json.loads(feats.read_text())
+        assert confirmed and all(f["prominence"] >= 1e-5 for f in confirmed)
+        assert list(confirmed[0]) == ["p_low", "p_high", "prominence", "direction"]
+
     def test_features_out(self, capsys, tmp_path):
         feats = tmp_path / "features.json"
         code, _, _ = run_cli(
@@ -225,6 +275,23 @@ class TestArgumentHandling:
             "entropy", "--b0", "1.5", "--b1", "1.5", "--branches", str(spec_file), "--p", "0.5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "f0",
+        [
+            {"type": "affine"},
+            {"type": "pwl", "points": [["0", "0", "1"]]},
+            5,
+        ],
+        ids=["missing-slope", "malformed-points", "non-object"],
+    )
+    def test_malformed_branch_exit_2(self, capsys, tmp_path, f0):
+        spec_file = tmp_path / "branches.json"
+        spec_file.write_text(json.dumps({"f0": f0, "f1": {"type": "affine", "slope": "1.5"}}))
+        code, _, err = run_cli(capsys, "entropy", "--branches", str(spec_file), "--p", "0.5")
+        assert code == 2
+        assert "InvalidBranch" in err
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(

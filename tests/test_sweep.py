@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from lorenzmaps import (
     SweepRecord,
     compare_methods,
     continuity_modulus,
+    cross_confirm_features,
     csv_text,
     detect_nonmonotonic,
     make_affine_pair,
@@ -114,6 +116,33 @@ class TestDetectNonmonotonic:
     def test_tolerance_positive(self):
         with pytest.raises(DomainError):
             detect_nonmonotonic([ok_record(0.1, 0.5)], 0.0)
+
+
+class TestCrossConfirm:
+    def test_overlapping_features_workers_independent(self, monkeypatch):
+        # 60 points of the paper pair give a bump and a dip sharing grid points
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        records = sweep(bp, F(9, 19), F(10, 11), 60, "spectral")
+        features = detect_nonmonotonic(records, 1e-5)
+        assert any(
+            f.p_low <= g.p_high and g.p_low <= f.p_high for f in features for g in features if f != g
+        )
+        sweep_module = sys.modules["lorenzmaps.sweep"]
+        run_points = sweep_module._run_points
+        batches = []
+
+        def recording(fn, ps, workers):
+            batches.append(list(ps))
+            return run_points(fn, ps, workers)
+
+        monkeypatch.setattr(sweep_module, "_run_points", recording)
+        serial = cross_confirm_features(bp, records, features, prominence_tol=1e-5)
+        parallel = cross_confirm_features(bp, records, features, prominence_tol=1e-5, workers=2)
+        assert serial == parallel
+        assert len(serial) >= 1
+        # one batch per call, each p evaluated once
+        assert len(batches) == 2
+        assert batches[0] == sorted(set(batches[0]))
 
 
 class TestContinuityModulus:

@@ -58,36 +58,39 @@ def itinerary(m: LorenzMap, x, n: int) -> str:
     """First n itinerary symbols of x under m (n >= 1)."""
     if n < 1:
         raise DomainError("itinerary length must be >= 1")
+    return _walk(m, x, n, find_period=False)[0]
+
+
+def _walk(m: LorenzMap, x, n: int, find_period: bool):
+    """(itinerary(m, x, n), smallest k <= n with T^k(x) = x or None) from one orbit.
+
+    The orbit runs n - 1 steps, or n steps when find_period asks for the
+    exact return test; without it the period is None.
+    """
+    orbit = m.orbit(x, n if find_period else n - 1)
     p = m.p
-    symbols = []
-    cur = x
     if m.side == UPPER:
-        for k in range(n):
-            symbols.append("1" if cur >= p else "0")
-            if k + 1 < n:
-                cur = m.apply(cur)
+        symbols = "".join(["1" if v >= p else "0" for v in orbit[:n]])
     else:
-        for k in range(n):
-            symbols.append("0" if cur <= p else "1")
-            if k + 1 < n:
-                cur = m.apply(cur)
-    return "".join(symbols)
+        symbols = "".join(["0" if v <= p else "1" for v in orbit[:n]])
+    period = None
+    if find_period:
+        period = next((k for k in range(1, n + 1) if orbit[k] == orbit[0]), None)
+    return symbols, period
 
 
 def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
     """Kneading prefixes alpha|n (lower map) and beta|n (upper map) at p.
 
     In exact mode the orbit periods up to n are certified and attached;
-    in float mode both periods are left unset.
+    in float mode both periods are left unset.  Each one-sided orbit of p
+    is walked once for both its symbols and its period.
     """
     lower = LorenzMap(bp, p, LOWER)
     upper = LorenzMap(bp, p, UPPER)
-    alpha = itinerary(lower, lower.p, n)
-    beta = itinerary(upper, upper.p, n)
-    alpha_period = beta_period = None
-    if lower.is_exact:
-        alpha_period = detect_period(bp, lower.p, LOWER, n)
-        beta_period = detect_period(bp, upper.p, UPPER, n)
+    exact = lower.is_exact
+    alpha, alpha_period = _walk(lower, lower.p, n, exact)
+    beta, beta_period = _walk(upper, upper.p, n, exact)
     return KneadingPair(alpha, beta, alpha_period, beta_period)
 
 

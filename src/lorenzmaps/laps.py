@@ -48,7 +48,14 @@ class LapState:
 
     @property
     def total_variation(self):
-        return sum(mult * (hi - lo) for (lo, hi), mult in self.classes)
+        try:
+            return sum(mult * (hi - lo) for (lo, hi), mult in self.classes)
+        except OverflowError as exc:
+            # a float-mode multiplicity past binary64's range; exact mode sums Fractions
+            raise ResourceLimit(
+                f"lap variation at step {self.step} overflows binary64 in float mode; "
+                "use --mode exact"
+            ) from exc
 
 
 def _advance(classes, f0, f1, p, exact):

@@ -13,8 +13,9 @@ geometric form (sum_{k<N} beta_k x^{-k}) / (1 - x^{-N}).
 
 The root finder scans the bracket downward from 2 on a grid of step
 (hi - lo)/(64 n), takes the first sign change (the largest root) and
-bisects it; cells whose values are small enough to hide a double crossing
-get locally refined first.  If no crossing exists, a bracketed
+bisects it; cells above the first grid event whose values are small
+enough to hide a double crossing are first refined together, all of them
+in one batched grid evaluation.  If no crossing exists, a bracketed
 minimisation looks for a tangential root, accepted only when the minimum
 lies within the truncation tail of zero.
 """
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, LengthMismatch, MissingPeriodicForm, NoRootFound
@@ -154,7 +154,18 @@ def tail_bound(x, n: int):
 
 
 def _eval_grid(coeffs, xs):
-    return npoly.polyval(1.0 / xs, np.asarray(coeffs, dtype=float))
+    """Series at every entry of the array xs: Horner in t = 1/x, in place.
+
+    Each step rounds acc * t and then acc + c exactly as numpy's polyval
+    does, so the values agree with it bit for bit, without a temporary per
+    coefficient.
+    """
+    t = 1.0 / xs
+    acc = np.full_like(t, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc *= t
+        acc += c
+    return acc
 
 
 def _bisect_root(f, xl, xr, vl, vr, tol, max_iter=200):
@@ -184,19 +195,26 @@ def _first_crossing(xi, xs, vals, events):
 
     A cell can hide a double crossing only if the series comes within
     step * sup|xi'| of zero there; |xi'(x)| <= 1/(x-1)^2 bounds the slope.
+    The suspicious cells are refined as rows of one 65-point sub-grid array,
+    in blocks that bound its memory, and the first row with a sign change
+    gives the bracket.
     """
     first = events[0] if events.size else len(xs) - 1
     step = xs[0] - xs[1]
     lip = 1.0 / (xs[1:] - 1.0) ** 2
     small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= step * lip
-    for j in np.nonzero(small[:first])[0]:
-        sub = np.linspace(xs[j], xs[j + 1], 65)
+    cells = np.nonzero(small[:first])[0]
+    for start in range(0, cells.size, 1024):
+        block = cells[start : start + 1024]
+        sub = np.linspace(xs[block], xs[block + 1], 65, axis=1)
         sv = _eval_grid(xi.coeffs, sub)
         ss = np.sign(sv)
-        ev = np.nonzero(ss[:-1] * ss[1:] <= 0)[0]
-        if ev.size:
-            k = ev[0]
-            return sub[k], sv[k], sub[k + 1], sv[k + 1]
+        change = ss[:, :-1] * ss[:, 1:] <= 0
+        rows = np.nonzero(change.any(axis=1))[0]
+        if rows.size:
+            r = rows[0]
+            k = np.argmax(change[r])
+            return sub[r, k], sv[r, k], sub[r, k + 1], sv[r, k + 1]
     if events.size:
         i = events[0]
         return xs[i], vals[i], xs[i + 1], vals[i + 1]

@@ -124,6 +124,16 @@ class TestLapsCommand:
         assert payload["entropy"] == pytest.approx(math.log(1.5), abs=1e-12)
         assert payload["lap_rate"] > 0
 
+    def test_float_overflow_exit_4(self, capsys):
+        # 1.9^1108 laps no longer fit in a float: a resource error, not a traceback
+        code, out, err = run_cli(
+            capsys, "laps", "--b0", "1.9", "--b1", "1.9", "--p", "1/2", "--mode", "float", "--n", "1200"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "--mode exact" in err
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_csv_file_deterministic(self, capsys, tmp_path):

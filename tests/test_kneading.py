@@ -109,6 +109,22 @@ class TestKneadingPrefixes:
             assert kp.alpha[0] == "0" and kp.beta[0] == "1"
             assert compare_lex(kp.alpha, kp.beta) == LESS
 
+    def test_one_walk_matches_itinerary_and_detect_period(self):
+        cases = [(make_uniform_pair(F(3, 2)), F(3, 5)), (make_uniform_pair(F(3, 2)), F(2, 5))]
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        rng = random.Random(37)
+        cases += [(bp, bp.a + F(rng.randint(1, 999), 1000) * (bp.b - bp.a)) for _ in range(6)]
+        for bp, p in cases:
+            for n in (1, 2, 3, 9):
+                kp = kneading_prefixes(bp, p, n)
+                assert kp.alpha == itinerary(LorenzMap(bp, p, LOWER), p, n)
+                assert kp.beta == itinerary(LorenzMap(bp, p, UPPER), p, n)
+                assert kp.alpha_period == detect_period(bp, p, LOWER, n)
+                assert kp.beta_period == detect_period(bp, p, UPPER, n)
+        # the period is found on the n-th application, one past the last symbol
+        assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 2).beta_period == 2
+        assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(2, 5), 2).alpha_period == 2
+
     def test_float_mode_has_no_periods(self):
         kp = kneading_prefixes(make_uniform_pair(1.5), 0.6, 8)
         assert kp.beta_period is None

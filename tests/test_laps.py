@@ -8,6 +8,7 @@ from lorenzmaps import (
     LOWER,
     UPPER,
     DomainError,
+    LapState,
     LorenzMap,
     ResourceLimit,
     entropy_laps,
@@ -78,6 +79,12 @@ class TestLapCount:
     def test_resource_cap(self, half_map):
         with pytest.raises(ResourceLimit):
             lap_count(half_map, 30, max_classes=8)
+
+    def test_float_variation_overflow_is_resource_limit(self):
+        big = 2**1100  # lap multiplicity beyond binary64's range
+        with pytest.raises(ResourceLimit, match="--mode exact"):
+            LapState(1100, (((0.0, 0.5), big),)).total_variation
+        assert LapState(1100, (((F(0), F(1, 2)), big),)).total_variation == F(big, 2)
 
 
 class TestBruteforce:

@@ -2,8 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
+import lorenzmaps.spectral as spectral
 from lorenzmaps import (
     UPPER,
     DomainError,
@@ -15,12 +19,14 @@ from lorenzmaps import (
     ODD_CROSSING,
     TANGENTIAL,
     XiPolynomial,
+    csv_text,
     entropy_laps,
     entropy_spectral,
     kneading_prefixes,
     make_affine_pair,
     make_uniform_pair,
     max_root,
+    sweep,
     tail_bound,
     xi_coeffs,
     xi_eval,
@@ -243,3 +249,115 @@ class TestEntropySpectral:
         fl = entropy_spectral(bp.to_float(), 0.6, n=160, tol=1e-9)
         # float orbits drift, but the drift is geometrically discounted
         assert abs(exact.entropy - fl.entropy) < 1e-6
+
+
+def _eval_grid_reference(coeffs, xs):
+    # reference: numpy's polyval, which _eval_grid must match bit for bit
+    return npoly.polyval(1.0 / xs, np.asarray(coeffs, dtype=float))
+
+
+def _first_crossing_reference(xi, xs, vals, events):
+    # reference: one 65-point refinement per suspicious cell, in scan order
+    first = events[0] if events.size else len(xs) - 1
+    step = xs[0] - xs[1]
+    lip = 1.0 / (xs[1:] - 1.0) ** 2
+    small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= step * lip
+    for j in np.nonzero(small[:first])[0]:
+        sub = np.linspace(xs[j], xs[j + 1], 65)
+        sv = _eval_grid_reference(xi.coeffs, sub)
+        ss = np.sign(sv)
+        ev = np.nonzero(ss[:-1] * ss[1:] <= 0)[0]
+        if ev.size:
+            k = ev[0]
+            return sub[k], sv[k], sub[k + 1], sv[k + 1]
+    if events.size:
+        i = events[0]
+        return xs[i], vals[i], xs[i + 1], vals[i + 1]
+    return None
+
+
+class _FloatSeries:
+    # stands in for XiPolynomial: the kernels read only .coeffs, and these may be any floats
+    def __init__(self, coeffs):
+        self.coeffs = tuple(float(c) for c in coeffs)
+
+
+def _scan(xi, xs):
+    vals = _eval_grid_reference(xi.coeffs, xs)
+    sgn = np.sign(vals)
+    return vals, np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]
+
+
+def _bits(hit):
+    return None if hit is None else tuple(float(v).hex() for v in hit)
+
+
+def _suspicious_cells(xs, vals, events):
+    step = xs[0] - xs[1]
+    small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= step / (xs[1:] - 1.0) ** 2
+    return np.nonzero(small[: events[0]])[0]
+
+
+def _hidden_pair_series(pairs, scale):
+    # -scale * (t - t1) * prod (t - ta)(t - tb) * ((t - td)^2 + 1e-6) in t = 1/x: a simple
+    # root at x = 1.4035, close root pairs, and a near-touch at x = 1.855 that crosses nowhere
+    roots = npoly.polyfromroots([1 / 1.4035] + [1 / x for pair in pairs for x in pair])
+    touch = npoly.polyadd(npoly.polyfromroots([1 / 1.855, 1 / 1.855]), [1e-6])
+    return _FloatSeries(-scale * npoly.polymul(roots, touch))
+
+
+class TestGridKernels:
+    """The in-place and batched kernels reproduce the per-call numpy ones bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=600))
+    def test_eval_grid_matches_polyval(self, coeffs):
+        coeffs = tuple(coeffs)
+        xs = np.linspace(2.0, 1.01, 3201)
+        cells = np.linspace(xs[:-1:50], xs[1::50], 65, axis=1)
+        for grid in (xs, cells):
+            got = spectral._eval_grid(coeffs, grid)
+            want = _eval_grid_reference(coeffs, grid)
+            assert got.shape == grid.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_first_crossing_matches_loop_on_paper_grid(self):
+        bp = make_affine_pair(F(11, 10), F(19, 10)).to_float()
+        xs = np.linspace(2.0, 1.05, 64 * 500 + 1)
+        for p in np.linspace(9 / 19, 10 / 11, 22)[1:-1]:
+            xi = xi_coeffs(kneading_prefixes(bp, float(p), 500))
+            vals, events = _scan(xi, xs)
+            got = spectral._first_crossing(xi, xs, vals, events)
+            assert _bits(got) == _bits(_first_crossing_reference(xi, xs, vals, events))
+
+    def test_first_crossing_finds_hidden_pair_after_suspicious_cells(self):
+        xs = np.linspace(2.0, 1.2, 81)
+        xi = _hidden_pair_series([(1.7032, 1.7058), (1.6032, 1.6058)], 1e9)
+        vals, events = _scan(xi, xs)
+        pair_cell, lower_pair_cell = 29, 39  # the cells (1.70, 1.71) and (1.60, 1.61)
+        assert events[0] > lower_pair_cell  # the grid sees only the simple root
+        cells = _suspicious_cells(xs, vals, events)
+        assert pair_cell in cells and lower_pair_cell in cells
+        assert np.count_nonzero(cells < pair_cell) >= 2
+        got = spectral._first_crossing(xi, xs, vals, events)
+        assert 1.70 < got[2] < got[0] < 1.71 and got[1] * got[3] <= 0
+        assert _bits(got) == _bits(_first_crossing_reference(xi, xs, vals, events))
+
+    def test_first_crossing_hit_in_a_later_block(self):
+        # a series small on ~2900 cells: the refinement runs in blocks, and the
+        # pair's cell lies past the first one
+        xs = np.linspace(2.0, 1.2, 4001)
+        xi = _hidden_pair_series([(1.70321, 1.70329)], 100.0)
+        vals, events = _scan(xi, xs)
+        cells = _suspicious_cells(xs, vals, events)
+        assert np.count_nonzero(cells < 1483) > 1024
+        got = spectral._first_crossing(xi, xs, vals, events)
+        assert 1.7032 < got[2] < got[0] < 1.7034
+        assert _bits(got) == _bits(_first_crossing_reference(xi, xs, vals, events))
+
+    def test_sweep_csv_unchanged(self, monkeypatch):
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        new = csv_text(sweep(bp, F(9, 19), F(10, 11), 40, "spectral"))
+        monkeypatch.setattr(spectral, "_eval_grid", _eval_grid_reference)
+        monkeypatch.setattr(spectral, "_first_crossing", _first_crossing_reference)
+        assert csv_text(sweep(bp, F(9, 19), F(10, 11), 40, "spectral")) == new

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
+from decimal import MAX_EMAX, Context, Decimal
 
 from .errors import LorenzError, NoRootFound, ResourceLimit
 from .kneading import detect_period, kneading_prefixes
@@ -60,13 +61,36 @@ def _load_pair(args, exact: bool | None = None) -> BranchPair:
     return make_affine_pair(parse_scalar(args.b0, exact), parse_scalar(args.b1, exact))
 
 
-def _parse_p(args, exact: bool):
-    return parse_scalar(args.p, exact)
+def _above(kind, bound):
+    # argparse type: a finite kind(text) strictly above bound; NaN compares false
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not bound < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+def _emit(obj, path=None) -> None:
+    text = json.dumps(obj) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def _json_variation(value):
+    # a JSON number where binary64 holds it, else 17 significant digits as a string
+    try:
+        return float(value)
+    except OverflowError:
+        ctx = Context(prec=17, Emax=MAX_EMAX)
+        return format(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)), ".16e")
 
 
 def _estimate_json(p, est) -> dict:
@@ -81,15 +105,15 @@ def _workers(args) -> int | None:
     if not env:
         return None
     try:
-        return int(env)
-    except ValueError as exc:
-        raise LorenzError(f"LORENZ_WORKERS must be an integer, got {env!r}") from exc
+        return _above(int, 0)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise LorenzError(f"LORENZ_WORKERS: {exc}") from exc
 
 
 def _cmd_entropy(args) -> int:
     bp = _load_pair(args)
     exact = args.mode == "exact"
-    p = _parse_p(args, exact)
+    p = parse_scalar(args.p, exact)
     n = args.n if args.n is not None else default_order(args.method)
     if args.method == SPECTRAL:
         est = entropy_spectral(bp, p, n, args.tol)
@@ -102,7 +126,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_kneading(args) -> int:
     bp = _load_pair(args)
     exact = args.mode == "exact"
-    p = _parse_p(args, exact)
+    p = parse_scalar(args.p, exact)
     kp = kneading_prefixes(bp, p, args.n)
     alpha_period, beta_period = kp.alpha_period, kp.beta_period
     if not exact:
@@ -126,7 +150,7 @@ def _cmd_kneading(args) -> int:
 def _cmd_laps(args) -> int:
     bp = _load_pair(args)
     exact = args.mode == "exact"
-    p = _parse_p(args, exact)
+    p = parse_scalar(args.p, exact)
     states = lap_states(LorenzMap(bp, p, UPPER), args.n)
     est = _lap_estimate(states, args.window)
     laps = states[-1].total_laps
@@ -136,7 +160,7 @@ def _cmd_laps(args) -> int:
             "order": args.n,
             "window": args.window,
             "laps": str(laps),
-            "variation": float(states[-1].total_variation),
+            "variation": _json_variation(states[-1].total_variation),
             "entropy": est.entropy,
             "lap_rate": math.log(laps) / args.n,
             "error_bound": est.error_bound,
@@ -162,17 +186,9 @@ def _cmd_sweep(args) -> int:
         workers=workers,
     )
     if args.format == "json":
-        text = json.dumps([{**_estimate_json(r.p, r.estimate), "status": r.status} for r in records])
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
+        _emit([{**_estimate_json(r.p, r.estimate), "status": r.status} for r in records], args.out)
     else:
-        if args.out:
-            write_csv(records, args.out)
-        else:
-            write_csv(records, sys.stdout)
+        write_csv(records, args.out or sys.stdout)
     if args.features_out:
         features = detect_nonmonotonic(records, args.prominence)
         if args.max_features:
@@ -185,35 +201,16 @@ def _cmd_sweep(args) -> int:
                 prominence_tol=args.prominence,
                 workers=workers,
             )
-        with open(args.features_out, "w", encoding="utf-8", newline="") as handle:
-            json.dump([asdict(f) for f in features], handle)
-            handle.write("\n")
+        _emit([asdict(f) for f in features], args.features_out)
     return 0
 
 
 def _cmd_compare(args) -> int:
     bp = _load_pair(args, exact=True)
-    common = dict(workers=_workers(args))
-    spectral = sweep(
-        bp,
-        parse_scalar(args.p_min),
-        parse_scalar(args.p_max),
-        args.points,
-        SPECTRAL,
-        n=args.spectral_n,
-        tol=args.tol,
-        **common,
-    )
-    laps_records = sweep(
-        bp,
-        parse_scalar(args.p_min),
-        parse_scalar(args.p_max),
-        args.points,
-        LAPS,
-        n=args.laps_n,
-        window=args.window,
-        **common,
-    )
+    workers = _workers(args)
+    grid = (bp, parse_scalar(args.p_min), parse_scalar(args.p_max), args.points)
+    spectral = sweep(*grid, SPECTRAL, n=args.spectral_n, tol=args.tol, workers=workers)
+    laps_records = sweep(*grid, LAPS, n=args.laps_n, window=args.window, workers=workers)
     max_diff, mean_diff, worst_p = compare_methods(spectral, laps_records)
     _emit(
         {
@@ -240,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("--p", required=True)
     entropy.add_argument("--method", choices=(SPECTRAL, LAPS), default=SPECTRAL)
     entropy.add_argument("--n", type=int, default=None)
-    entropy.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    entropy.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
     entropy.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     _add_mode_arg(entropy, "float")
     entropy.set_defaults(func=_cmd_entropy)
@@ -267,16 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--points", type=int, required=True)
     swp.add_argument("--method", choices=(SPECTRAL, LAPS), default=SPECTRAL)
     swp.add_argument("--n", type=int, default=None)
-    swp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    swp.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
     swp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     swp.add_argument("--mode", choices=("exact", "float"), default=None)
     swp.add_argument("--out", help="CSV/JSON output path (default: stdout)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
-    swp.add_argument("--workers", type=int, default=None)
+    swp.add_argument("--workers", type=_above(int, 0), default=None)
     swp.add_argument("--features-out", help="also write detected non-monotone features")
-    swp.add_argument("--prominence", type=float, default=1e-5)
+    swp.add_argument("--prominence", type=_above(float, 0), default=1e-5)
     swp.add_argument("--no-confirm", action="store_true", help="skip cross-method confirmation")
-    swp.add_argument("--max-features", type=int, default=10,
+    swp.add_argument("--max-features", type=_above(int, -1), default=10,
                      help="confirm at most this many features, most prominent first (0 = all)")
     swp.set_defaults(func=_cmd_sweep)
 
@@ -287,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--points", type=int, required=True)
     comp.add_argument("--spectral-n", type=int, default=DEFAULT_ORDER)
     comp.add_argument("--laps-n", type=int, default=DEFAULT_ITERATES)
-    comp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    comp.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
     comp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    comp.add_argument("--workers", type=int, default=None)
+    comp.add_argument("--workers", type=_above(int, 0), default=None)
     comp.set_defaults(func=_cmd_compare)
 
     return parser

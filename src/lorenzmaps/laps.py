@@ -153,7 +153,6 @@ def entropy_laps(
     m: LorenzMap,
     n: int = DEFAULT_ITERATES,
     window: int = DEFAULT_WINDOW,
-    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> EntropyEstimate:
     """Entropy as the windowed growth rate of the lap-image variation.
 
@@ -163,7 +162,7 @@ def entropy_laps(
     certified.
     """
     _check_window(n, window)
-    return _lap_estimate(lap_states(m, n, max_classes), window)
+    return _lap_estimate(lap_states(m, n), window)
 
 
 def _check_window(n: int, window: int) -> None:

@@ -230,7 +230,7 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
     lo, hi = float(lo), float(hi)
     if not (1.0 < lo < hi <= 2.0):
         raise DomainError(f"bracket must satisfy 1 < lo < hi <= 2, got ({lo}, {hi})")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tolerance must be positive")
 
     def f(x):

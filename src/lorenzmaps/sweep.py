@@ -10,6 +10,10 @@ the kneading data degenerates exactly at the ends.
 Spectral points run in float mode by default (fast, error-bounded); lap
 points run in exact mode (the big-integer counts are exact and the p
 values are promoted to exact dyadic rationals).
+
+The package binds the name ``lorenzmaps.sweep`` to the ``sweep`` function,
+so ``import lorenzmaps.sweep as S`` yields the function; reach this module
+with ``importlib.import_module("lorenzmaps.sweep")``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     RangeError,
     ResourceLimit,
 )
-from .laps import DEFAULT_ITERATES, DEFAULT_MAX_CLASSES, DEFAULT_WINDOW, entropy_laps
+from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, entropy_laps
 from .maps import UPPER, BranchPair, LorenzMap
 from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
 
@@ -44,6 +48,9 @@ DIP = "dip"
 BUMP = "bump"
 
 CSV_FIELDS = ("p", "entropy", "gamma", "method", "order", "error_bound", "status")
+
+#: grid points added on each side of a feature for its lap confirmation
+CONFIRM_PAD = 3
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,12 @@ def default_order(method: str) -> int:
     return DEFAULT_ORDER if method == SPECTRAL else DEFAULT_ITERATES
 
 
-def _sweep_point(bp, method, n, tol, window, max_classes, p) -> SweepRecord:
+def _sweep_point(bp, method, n, tol, window, p) -> SweepRecord:
     try:
         if method == SPECTRAL:
             est = entropy_spectral(bp, p, n, tol)
         else:
-            est = entropy_laps(LorenzMap(bp, p, UPPER), n, window, max_classes)
+            est = entropy_laps(LorenzMap(bp, p, UPPER), n, window)
         return SweepRecord(float(p), est, STATUS_OK)
     except NoRootFound:
         return SweepRecord(float(p), None, STATUS_NO_ROOT)
@@ -122,7 +129,6 @@ def sweep(
     window: int = DEFAULT_WINDOW,
     mode: str | None = None,
     workers: int | None = None,
-    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> list:
     """Entropy records on an equally spaced grid of p values.
 
@@ -145,7 +151,7 @@ def sweep(
     else:
         bp_run = bp.to_exact()
         ps = grid
-    point = partial(_sweep_point, bp_run, method, n, tol, window, max_classes)
+    point = partial(_sweep_point, bp_run, method, n, tol, window)
     return _run_points(point, ps, workers)
 
 
@@ -162,7 +168,7 @@ def detect_nonmonotonic(records, prominence_tol: float) -> list:
     Returns features sorted by prominence, largest first; empty when the
     curve is monotone at the requested resolution.
     """
-    if prominence_tol <= 0:
+    if not prominence_tol > 0:
         raise DomainError("prominence tolerance must be positive")
     _, ps, hs = _ok_arrays(records)
     if len(ps) < 3:
@@ -231,16 +237,14 @@ def cross_confirm_features(
     prominence_tol: float,
     n: int = DEFAULT_ITERATES,
     window: int = DEFAULT_WINDOW,
-    pad: int = 3,
     workers: int | None = None,
-    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> list:
     """Keep only features the lap method reproduces on the feature's own sub-grid.
 
     For each candidate, the lap estimator is run on the sweep's p values
-    covering the feature (padded by ``pad`` grid points) and must show a
-    same-direction feature overlapping in p whose prominence matches within
-    the two methods' combined error bounds.  A lap record depends only on
+    covering the feature (padded by ``CONFIRM_PAD`` grid points) and must
+    show a same-direction feature overlapping in p whose prominence matches
+    within the two methods' combined error bounds.  A lap record depends only on
     p, so the union of all sub-grids is evaluated once, each distinct p a
     single time, in one pool when ``workers`` > 1.
     """
@@ -249,12 +253,12 @@ def cross_confirm_features(
         return []
     spans = []
     for feat in features:
-        i_lo = max(0, int(np.searchsorted(ps, feat.p_low)) - pad)
-        i_hi = min(len(ps) - 1, int(np.searchsorted(ps, feat.p_high)) + pad)
+        i_lo = max(0, int(np.searchsorted(ps, feat.p_low)) - CONFIRM_PAD)
+        i_hi = min(len(ps) - 1, int(np.searchsorted(ps, feat.p_high)) + CONFIRM_PAD)
         if i_hi - i_lo >= 2:
             spans.append((feat, i_lo, i_hi))
     union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
-    point = partial(_sweep_point, bp.to_exact(), LAPS, n, DEFAULT_TOL, window, max_classes)
+    point = partial(_sweep_point, bp.to_exact(), LAPS, n, DEFAULT_TOL, window)
     lap_at = dict(zip(union, _run_points(point, [Fraction(ps[i]) for i in union], workers)))
     confirmed = []
     for feat, i_lo, i_hi in spans:
@@ -283,16 +287,19 @@ def _csv_cell(value) -> str:
 
 
 def write_csv(records, path_or_file) -> None:
-    """Write sweep records with the fixed header, 17 significant digits, LF endings."""
+    """Write ``csv_text(records)`` to a path or an open text file."""
+    text = csv_text(records)
     if hasattr(path_or_file, "write"):
-        _write_csv_stream(records, path_or_file)
+        path_or_file.write(text)
         return
     with open(path_or_file, "w", encoding="utf-8", newline="") as handle:
-        _write_csv_stream(records, handle)
+        handle.write(text)
 
 
-def _write_csv_stream(records, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
+def csv_text(records) -> str:
+    """Sweep records with the fixed header, 17 significant digits, LF endings."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for rec in records:
         est = rec.estimate
@@ -307,9 +314,4 @@ def _write_csv_stream(records, handle) -> None:
                 rec.status,
             ]
         )
-
-
-def csv_text(records) -> str:
-    buffer = io.StringIO()
-    _write_csv_stream(records, buffer)
     return buffer.getvalue()

@@ -1,10 +1,16 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
 from lorenzmaps.cli import main
+
+
+SWEEP_ARGS = [
+    "sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11", "--points", "60",
+]
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +140,25 @@ class TestLapsCommand:
         assert err.startswith("error:") and "--mode exact" in err
         assert "Traceback" not in err
 
+    def test_exact_variation_past_binary64(self, capsys, monkeypatch):
+        import lorenzmaps.cli as cli_module
+        from lorenzmaps import LapState
+
+        # one class of length 1/7 carrying 10^(330+k) laps at step k
+        def huge_states(m, n):
+            return [LapState(k, (((Fraction(0), Fraction(1, 7)), 10 ** (330 + k)),)) for k in range(1, n + 1)]
+
+        monkeypatch.setattr(cli_module, "lap_states", huge_states)
+        code, out, err = run_cli(
+            capsys, "laps", "--b0", "3/2", "--b1", "3/2", "--p", "3/5", "--n", "20", "--window", "5"
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
+        assert payload["variation"] == "1.4285714285714286e+349"
+        assert payload["laps"] == str(10**350)
+        assert payload["entropy"] == pytest.approx(math.log(10))
+
 
 class TestSweepCommand:
     def test_csv_file_deterministic(self, capsys, tmp_path):
@@ -257,6 +282,35 @@ class TestSweepCommand:
         assert code == 0
         assert json.loads(feats.read_text()) == []  # constant curve has no features
 
+    def test_writers_agree_across_destinations(self, capsys, tmp_path):
+        args = [
+            "sweep", "--b0", "1.5", "--b1", "1.5",
+            "--p-min", "0.45", "--p-max", "0.55", "--points", "3", "--n", "60",
+        ]
+        for fmt in ("json", "csv"):
+            target = tmp_path / f"curve.{fmt}"
+            code, out, _ = run_cli(capsys, *args, "--format", fmt)
+            assert code == 0
+            assert main(args + ["--format", fmt, "--out", str(target)]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_bytes() == out.encode("utf-8")
+
+    def test_features_file_and_max_features(self, capsys, tmp_path):
+        # the 60-point paper sweep shows two features; 0 keeps all of them
+        args = [
+            "sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11",
+            "--points", "60", "--no-confirm",
+        ]
+        counts = {}
+        for limit in ("0", "1"):
+            feats = tmp_path / f"features-{limit}.json"
+            code, _, _ = run_cli(capsys, *args, "--features-out", str(feats), "--max-features", limit)
+            assert code == 0
+            text = feats.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text)) + "\n"
+            counts[limit] = len(json.loads(text))
+        assert counts == {"0": 2, "1": 1}
+
 
 class TestCompareCommand:
     def test_uniform_agreement(self, capsys):
@@ -302,6 +356,47 @@ class TestArgumentHandling:
         assert code == 2
         assert "InvalidBranch" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "nan"], None),
+            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "inf"], None),
+            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol=-1e-7"], None),
+            (SWEEP_ARGS + ["--prominence", "nan", "--features-out", "unwritten.json"], None),
+            (SWEEP_ARGS + ["--tol", "nan"], None),
+            (SWEEP_ARGS + ["--workers", "0"], None),
+            (SWEEP_ARGS + ["--workers", "-3"], None),
+            (SWEEP_ARGS, "0"),
+            (SWEEP_ARGS + ["--max-features", "-1", "--features-out", "unwritten.json"], None),
+            (SWEEP_ARGS + ["--max-features", "-3", "--features-out", "unwritten.json"], None),
+            (["compare"] + SWEEP_ARGS[1:] + ["--tol", "nan"], None),
+            (["compare"] + SWEEP_ARGS[1:] + ["--workers", "0"], None),
+        ],
+        ids=[
+            "entropy-tol-nan", "entropy-tol-inf", "entropy-tol-negative",
+            "sweep-prominence-nan", "sweep-tol-nan", "sweep-workers-0", "sweep-workers-negative",
+            "LORENZ_WORKERS-0", "max-features-minus-1", "max-features-minus-3",
+            "compare-tol-nan", "compare-workers-0",
+        ],
+    )
+    def test_out_of_range_value_exit_2(self, capsys, monkeypatch, tmp_path, argv, env):
+        import lorenzmaps.cli as cli_module
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_module, "entropy_spectral", evaluated)
+        monkeypatch.setattr(cli_module, "sweep", evaluated)
+        if env is not None:
+            monkeypatch.setenv("LORENZ_WORKERS", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") or ": error:" in line for line in err.splitlines())
+        assert "Traceback" not in err
+        assert not (tmp_path / "unwritten.json").exists()
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(

@@ -200,6 +200,10 @@ class TestMaxRoot:
         with pytest.raises(DomainError):
             max_root(XiPolynomial((1, -1)), 1.2, 2.0, -1e-8)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(DomainError):
+            max_root(XiPolynomial((1, -1, -1)), 1.05, 2.0, math.nan)
+
 
 class TestBracketSanity:
     def test_xi_positive_at_two(self):

@@ -117,6 +117,10 @@ class TestDetectNonmonotonic:
         with pytest.raises(DomainError):
             detect_nonmonotonic([ok_record(0.1, 0.5)], 0.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(DomainError):
+            detect_nonmonotonic([ok_record(0.1, 0.5)], math.nan)
+
 
 class TestCrossConfirm:
     def test_overlapping_features_workers_independent(self, monkeypatch):

@@ -2,7 +2,9 @@
 
 Subcommands: entropy, kneading, laps, sweep, compare.  Single-point
 commands print JSON to stdout; sweep writes CSV (or JSON) to --out or
-stdout.  Numbers may be given as decimals or fractions ("9/19").
+stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
+read exactly, and --mode float rounds the validated exact map, as sweep
+rounds its grid points.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -20,7 +22,7 @@ from decimal import MAX_EMAX, Context, Decimal
 
 from .errors import LorenzError, NoRootFound, ResourceLimit
 from .kneading import detect_period, kneading_prefixes
-from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _lap_estimate, entropy_laps, lap_states
+from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, _lap_estimate, entropy_laps, lap_states
 from .maps import UPPER, BranchPair, LorenzMap, make_affine_pair, parse_scalar
 from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
 from .sweep import (
@@ -48,17 +50,21 @@ def _add_mode_arg(sub, default):
     )
 
 
-def _load_pair(args, exact: bool | None = None) -> BranchPair:
-    if exact is None:
-        exact = getattr(args, "mode", "exact") == "exact"
+def _load_pair(args) -> BranchPair:
     if args.branches:
         if args.b0 or args.b1:
             raise LorenzError("give either --b0/--b1 or --branches, not both")
         with open(args.branches, "r", encoding="utf-8") as handle:
-            return BranchPair.from_json_dict(json.load(handle), exact=exact)
+            return BranchPair.from_json_dict(json.load(handle))
     if not (args.b0 and args.b1):
         raise LorenzError("branch slopes missing: give --b0 and --b1, or --branches")
-    return make_affine_pair(parse_scalar(args.b0, exact), parse_scalar(args.b1, exact))
+    return make_affine_pair(parse_scalar(args.b0), parse_scalar(args.b1))
+
+
+def _map(args) -> LorenzMap:
+    # validated exactly; rounding it cannot overflow, since p and every stored point lie in [0, 1]
+    m = LorenzMap(_load_pair(args), parse_scalar(args.p), UPPER)
+    return m.to_float() if args.mode == "float" else m
 
 
 def _above(kind, bound):
@@ -111,28 +117,25 @@ def _workers(args) -> int | None:
 
 
 def _cmd_entropy(args) -> int:
-    bp = _load_pair(args)
-    exact = args.mode == "exact"
-    p = parse_scalar(args.p, exact)
+    m = _map(args)
     n = args.n if args.n is not None else default_order(args.method)
     if args.method == SPECTRAL:
-        est = entropy_spectral(bp, p, n, args.tol)
+        est = entropy_spectral(m.branches, m.p, n, args.tol)
     else:
-        est = entropy_laps(LorenzMap(bp, p, UPPER), n, args.window)
-    _emit(_estimate_json(p, est))
+        est = entropy_laps(m, n, args.window)
+    _emit(_estimate_json(m.p, est))
     return 0
 
 
 def _cmd_kneading(args) -> int:
-    bp = _load_pair(args)
-    exact = args.mode == "exact"
-    p = parse_scalar(args.p, exact)
+    m = _map(args)
+    bp, p = m.branches, m.p
     kp = kneading_prefixes(bp, p, args.n)
     alpha_period, beta_period = kp.alpha_period, kp.beta_period
-    if not exact:
+    if not m.is_exact:
         # heuristic candidates only; exact mode certifies these instead
-        alpha_period = detect_period(bp, p, "lower", args.n, certified=False)
-        beta_period = detect_period(bp, p, "upper", args.n, certified=False)
+        alpha_period = detect_period(bp, p, "lower", args.n)
+        beta_period = detect_period(bp, p, "upper", args.n)
     _emit(
         {
             "p": float(p),
@@ -148,15 +151,14 @@ def _cmd_kneading(args) -> int:
 
 
 def _cmd_laps(args) -> int:
-    bp = _load_pair(args)
-    exact = args.mode == "exact"
-    p = parse_scalar(args.p, exact)
-    states = lap_states(LorenzMap(bp, p, UPPER), args.n)
+    m = _map(args)
+    _check_window(args.n, args.window)
+    states = lap_states(m, args.n)
     est = _lap_estimate(states, args.window)
     laps = states[-1].total_laps
     _emit(
         {
-            "p": float(p),
+            "p": float(m.p),
             "order": args.n,
             "window": args.window,
             "laps": str(laps),
@@ -171,7 +173,7 @@ def _cmd_laps(args) -> int:
 
 def _cmd_sweep(args) -> int:
     # grid geometry wants the exact pair; per-point arithmetic follows --mode
-    bp = _load_pair(args, exact=True)
+    bp = _load_pair(args)
     workers = _workers(args)
     records = sweep(
         bp,
@@ -206,7 +208,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    bp = _load_pair(args, exact=True)
+    bp = _load_pair(args)
+    _check_window(args.laps_n, args.window)
     workers = _workers(args)
     grid = (bp, parse_scalar(args.p_min), parse_scalar(args.p_max), args.points)
     spectral = sweep(*grid, SPECTRAL, n=args.spectral_n, tol=args.tol, workers=workers)

@@ -17,10 +17,6 @@ class DomainError(LorenzError, ValueError):
     """An argument lies outside the domain of the requested operation."""
 
 
-class ModeError(LorenzError):
-    """A certified computation was requested in floating-point mode."""
-
-
 class LengthMismatch(LorenzError, ValueError):
     """Two words that must have equal length do not."""
 

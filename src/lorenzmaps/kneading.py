@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, LengthMismatch, ModeError
+from .errors import DomainError, LengthMismatch
 from .maps import LOWER, UPPER, BranchPair, LorenzMap
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -80,12 +80,14 @@ def _walk(m: LorenzMap, x, n: int, find_period: bool):
 
 
 def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
-    """Kneading prefixes alpha|n (lower map) and beta|n (upper map) at p.
+    """Kneading prefixes alpha|n (lower map) and beta|n (upper map) at p, for n >= 1.
 
     In exact mode the orbit periods up to n are certified and attached;
     in float mode both periods are left unset.  Each one-sided orbit of p
     is walked once for both its symbols and its period.
     """
+    if n < 1:
+        raise DomainError("kneading prefix length must be >= 1")
     lower = LorenzMap(bp, p, LOWER)
     upper = LorenzMap(bp, p, UPPER)
     exact = lower.is_exact
@@ -94,32 +96,19 @@ def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
     return KneadingPair(alpha, beta, alpha_period, beta_period)
 
 
-def detect_period(
-    bp: BranchPair,
-    p,
-    side: str,
-    n_max: int,
-    certified: bool | None = None,
-    tol: float = FLOAT_PERIOD_TOL,
-) -> int | None:
+def detect_period(bp: BranchPair, p, side: str, n_max: int, tol: float = FLOAT_PERIOD_TOL) -> int | None:
     """Smallest n <= n_max with T^n(p) = p, or None.
 
-    ``certified=True`` demands exact arithmetic (ModeError otherwise); the
-    default certifies exactly when the map is exact.  In float mode the
-    test is |T^n(p) - p| < tol and the result is only a candidate.
+    The map's numbers decide the test: an exact map certifies T^n(p) = p,
+    while a float map tests |T^n(p) - p| < tol and the result is only a
+    candidate.
     """
     m = LorenzMap(bp, p, side)
-    if certified is None:
-        certified = m.is_exact
-    if certified and not m.is_exact:
-        raise ModeError("certified period detection needs exact rational arithmetic")
+    exact = m.is_exact
     x = m.p
     for k in range(1, n_max + 1):
         x = m.apply(x)
-        if certified:
-            if x == m.p:
-                return k
-        elif abs(x - m.p) < tol:
+        if (x == m.p) if exact else (abs(x - m.p) < tol):
             return k
     return None
 

@@ -7,11 +7,13 @@ map applies f1 at x = p, the *lower* map applies f0 there; everywhere else
 the two agree.  Every linear piece of a branch must have slope > 1, so the
 map expands and the inverse branches contract.
 
-Numbers are either ``fractions.Fraction`` (exact mode) or binary64 floats.
-Exact mode performs no rounding at all, which is what makes orbit
-periodicity checks trustworthy; float mode is the fast path for parameter
-sweeps.  A map is exact iff every defining number is a Fraction (integers
-are promoted to Fractions on input).
+Numbers are either ``fractions.Fraction`` (exact mode) or binary64 floats,
+and a map's numbers decide its mode: it is exact iff every defining number
+is a Fraction.  Text and integers are read as Fractions (``parse_scalar``),
+so a float map is made by ``to_float()`` from an exact map that has already
+been validated.  Exact mode performs no rounding at all, which is what
+makes orbit periodicity checks trustworthy; float mode is the fast path for
+parameter sweeps.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-def parse_scalar(text, exact: bool = True) -> Scalar:
-    """Parse "0.5", "9/19", "1.1", 3, ... into a Fraction (or float if exact=False)."""
+def parse_scalar(text) -> Fraction:
+    """Parse "0.5", "9/19", "1.1", 3, ... into the Fraction it denotes exactly."""
     try:
-        value = Fraction(str(text))
+        return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse number: {text!r}") from exc
-    return value if exact else float(value)
 
 
 def _coerce(value) -> Scalar:
@@ -229,12 +230,12 @@ class BranchPair:
         return {"f0": _branch_json(self.f0), "f1": _branch_json(self.f1)}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, exact: bool = True) -> "BranchPair":
+    def from_json_dict(cls, obj: dict) -> "BranchPair":
         try:
             f0_obj, f1_obj = obj["f0"], obj["f1"]
         except (TypeError, KeyError) as exc:
             raise InvalidBranch("branch JSON needs 'f0' and 'f1' entries") from exc
-        return cls(_branch_from_json(f0_obj, "f0", exact), _branch_from_json(f1_obj, "f1", exact))
+        return cls(_branch_from_json(f0_obj, "f0"), _branch_from_json(f1_obj, "f1"))
 
 
 def _branch_json(spec: BranchSpec) -> dict:
@@ -243,21 +244,21 @@ def _branch_json(spec: BranchSpec) -> dict:
     return {"type": "pwl", "points": [[_fmt_scalar(x), _fmt_scalar(y)] for x, y in spec.points]}
 
 
-def _branch_from_json(obj: dict, role: str, exact: bool) -> BranchSpec:
+def _branch_from_json(obj: dict, role: str) -> BranchSpec:
     if not isinstance(obj, dict):
         raise InvalidBranch(f"{role} must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "affine":
         if "slope" not in obj:
             raise InvalidBranch(f"affine branch {role} needs a 'slope'")
-        slope = parse_scalar(obj["slope"], exact)
+        slope = parse_scalar(obj["slope"])
         return BranchSpec.affine_from_zero(slope) if role == "f0" else BranchSpec.affine_to_one(slope)
     if kind == "pwl":
         try:
             pairs = [(x, y) for x, y in obj["points"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidBranch(f"pwl branch {role} needs 'points' as a list of [x, y] pairs") from exc
-        return BranchSpec(tuple((parse_scalar(x, exact), parse_scalar(y, exact)) for x, y in pairs))
+        return BranchSpec(tuple((parse_scalar(x), parse_scalar(y)) for x, y in pairs))
     raise InvalidBranch(f"unknown branch type {kind!r} for {role}")
 
 

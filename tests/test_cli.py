@@ -1,9 +1,13 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorenzmaps.cli import main
 
@@ -403,3 +407,136 @@ class TestArgumentHandling:
             capsys, "entropy", "--branches", "/nonexistent/branches.json", "--p", "0.5"
         )
         assert code == 2
+
+
+class TestSinglePointMatchesSweep:
+    def test_entropy_prints_the_sweep_row(self, capsys):
+        # float mode rounds the exact map once, so a single point sees the sweep's map
+        pair = ["--b0", "1.43", "--b1", "1.58"]
+        code, out, _ = run_cli(
+            capsys, "sweep", *pair, "--p-min", "29/79", "--p-max", "100/143", "--points", "7",
+            "--workers", "1",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 7
+        keys = ("entropy", "gamma", "error_bound")
+        for row in rows:
+            code, out, _ = run_cli(capsys, "entropy", *pair, "--p", row["p"])
+            assert code == 0
+            payload = json.loads(out)
+            assert [format(payload[k], ".17g") for k in keys] == [row[k] for k in keys]
+
+    def test_p_equal_to_a_accepted(self, capsys):
+        # a = (1.02 - 1)/1.02 = 1/51 exactly
+        code, out, err = run_cli(capsys, "entropy", "--b0", "1.01", "--b1", "1.02", "--p", "1/51")
+        assert code == 0, err
+        assert json.loads(out)["p"] == 1 / 51
+
+
+COMPARE_200 = [
+    "compare", "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11", "--points", "200",
+    "--workers", "1",
+]
+
+
+class TestInputErrorsBeforeWork:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--b0", "1e400", "--b1", "1.5", "--p", "0.5"],
+            ["entropy", "--b0", "1.5", "--b1", "1.5", "--p", "1e400"],
+            ["kneading", "--b0", "10/11", "--b1", "1e400", "--p", "1/2", "--mode", "float"],
+        ],
+        ids=["slope-past-binary64", "p-past-binary64", "float-kneading-past-binary64"],
+    )
+    def test_number_past_binary64_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_empty_kneading_prefix_exit_2(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "3/5", "--n", "0", "--mode", mode
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and ">= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["laps", "--b0", "1.9", "--b1", "1.9", "--p", "1/2", "--n", "400", "--window", "0"],
+            ["laps", "--b0", "1.9", "--b1", "1.9", "--p", "1/2", "--n", "20", "--window", "20"],
+            COMPARE_200 + ["--laps-n", "0"],
+            COMPARE_200 + ["--laps-n", "20", "--window", "20"],
+        ],
+        ids=["laps-window-0", "laps-window-n", "compare-laps-n-0", "compare-window-laps-n"],
+    )
+    def test_lap_window_checked_before_work(self, capsys, monkeypatch, argv):
+        import lorenzmaps.cli as cli_module
+
+        calls = []
+        monkeypatch.setattr(cli_module, "sweep", lambda *args, **kwargs: calls.append("sweep"))
+        monkeypatch.setattr(cli_module, "lap_states", lambda *args, **kwargs: calls.append("lap_states"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "window" in err
+        assert calls == []
+
+
+# a valid command with up to two numbers swapped for decimals with large exponents,
+# fractions or junk, so each odd number is also seen where everything else is valid
+_ODD_NUMBERS = st.one_of(
+    st.builds(
+        "{}{}.{}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(0, 99),
+        st.integers(0, 999),
+        st.integers(-400, 400),
+    ),
+    st.builds("{}/{}".format, st.integers(-3, 10**6), st.integers(-3, 10**6)),
+    st.sampled_from(["nan", "inf", "-inf", "1/0", "abc", ""]),
+)
+_SLOPES = st.integers(101, 199).map(lambda k: f"{k / 100}")
+_PS = st.integers(30, 70).map(lambda k: f"{k}/100")
+
+
+@st.composite
+def _commands(draw):
+    command = draw(st.sampled_from(["entropy", "kneading", "laps", "sweep"]))
+    numbers = {"--b0": draw(_SLOPES), "--b1": draw(_SLOPES)}
+    if command == "sweep":
+        numbers["--p-min"], numbers["--p-max"] = sorted(draw(st.lists(_PS, min_size=2, max_size=2)))
+    else:
+        numbers["--p"] = draw(_PS)
+    for key in draw(st.lists(st.sampled_from(sorted(numbers)), max_size=2, unique=True)):
+        numbers[key] = draw(_ODD_NUMBERS)
+    argv = [command] + [f"{key}={value}" for key, value in numbers.items()]
+    argv.append(f"--n={draw(st.integers(-2, 40))}")
+    if command == "sweep":
+        argv += [f"--points={draw(st.integers(-1, 4))}", "--workers=1"]
+    else:
+        argv.append(f"--mode={draw(st.sampled_from(['exact', 'float']))}")
+    if command in ("entropy", "sweep"):
+        argv.append(f"--method={draw(st.sampled_from(['spectral', 'laps']))}")
+    if command != "kneading":
+        argv.append(f"--window={draw(st.integers(-1, 12))}")
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(argv=_commands())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert out.getvalue() == ""

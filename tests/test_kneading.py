@@ -13,7 +13,6 @@ from lorenzmaps import (
     KneadingPair,
     LengthMismatch,
     LorenzMap,
-    ModeError,
     compare_lex,
     detect_period,
     itinerary,
@@ -125,6 +124,13 @@ class TestKneadingPrefixes:
         assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 2).beta_period == 2
         assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(2, 5), 2).alpha_period == 2
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_length_below_one_rejected_in_both_modes(self, n):
+        bp = make_uniform_pair(F(3, 2))
+        for pair, p in ((bp, F(3, 5)), (bp.to_float(), 0.6)):
+            with pytest.raises(DomainError, match=">= 1"):
+                kneading_prefixes(pair, p, n)
+
     def test_float_mode_has_no_periods(self):
         kp = kneading_prefixes(make_uniform_pair(1.5), 0.6, 8)
         assert kp.beta_period is None
@@ -159,14 +165,9 @@ class TestDetectPeriod:
         assert orbit[-1] == F(3, 5)
         assert all(v != F(3, 5) for v in orbit[1:-1])
 
-    def test_certified_needs_exact(self):
-        bp = make_uniform_pair(1.5)
-        with pytest.raises(ModeError):
-            detect_period(bp, 0.6, UPPER, 10, certified=True)
-
     def test_float_heuristic(self):
         bp = make_uniform_pair(1.5)
-        assert detect_period(bp, 0.6, UPPER, 10, certified=False) == 2
+        assert detect_period(bp, 0.6, UPPER, 10) == 2
 
 
 class TestCompareLex:

@@ -250,9 +250,8 @@ class TestSerialization:
             "f0": {"type": "affine", "slope": "11/10"},
             "f1": {"type": "affine", "slope": "19/10"},
         }
-        back = BranchPair.from_json_dict(obj, exact=True)
+        back = BranchPair.from_json_dict(obj)
         assert back == bp
-        assert BranchPair.from_json_dict(obj, exact=False).is_exact is False
 
     def test_pwl_roundtrip(self):
         f0 = BranchSpec(((0, 0), (F(1, 2), F(3, 4)), (F(7, 10), 1)))
@@ -261,7 +260,7 @@ class TestSerialization:
         obj = bp.to_json_dict()
         assert obj["f0"]["type"] == "pwl"
         assert obj["f0"]["points"][1] == ["1/2", "3/4"]
-        assert BranchPair.from_json_dict(obj, exact=True) == bp
+        assert BranchPair.from_json_dict(obj) == bp
 
     def test_unknown_type(self):
         with pytest.raises(InvalidBranch):
@@ -273,7 +272,6 @@ class TestParseScalar:
         assert parse_scalar("9/19") == F(9, 19)
         assert parse_scalar("0.5") == F(1, 2)
         assert parse_scalar("1.1") == F(11, 10)
-        assert parse_scalar("1.1", exact=False) == float(F(11, 10))
 
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):

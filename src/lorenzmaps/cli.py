@@ -4,7 +4,8 @@ Subcommands: entropy, kneading, laps, sweep, compare.  Single-point
 commands print JSON to stdout; sweep writes CSV (or JSON) to --out or
 stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
 read exactly, and --mode float rounds the validated exact map, as sweep
-rounds its grid points.
+rounds its grid points.  kneading periods are certified in exact mode and
+null in float mode.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -18,12 +19,11 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
-from decimal import MAX_EMAX, Context, Decimal
 
 from .errors import LorenzError, NoRootFound, ResourceLimit
-from .kneading import detect_period, kneading_prefixes
+from .kneading import kneading_prefixes
 from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, _lap_estimate, entropy_laps, lap_states
-from .maps import UPPER, BranchPair, LorenzMap, make_affine_pair, parse_scalar
+from .maps import UPPER, BranchPair, LorenzMap, fmt_number, make_affine_pair, parse_scalar
 from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
 from .sweep import (
     compare_methods,
@@ -64,7 +64,10 @@ def _load_pair(args) -> BranchPair:
 def _map(args) -> LorenzMap:
     # validated exactly; rounding it cannot overflow, since p and every stored point lie in [0, 1]
     m = LorenzMap(_load_pair(args), parse_scalar(args.p), UPPER)
-    return m.to_float() if args.mode == "float" else m
+    try:
+        return m.to_float() if args.mode == "float" else m
+    except LorenzError as exc:
+        raise type(exc)(f"binary64 rounding for --mode float breaks this map ({exc}); use --mode exact") from exc
 
 
 def _above(kind, bound):
@@ -91,12 +94,11 @@ def _emit(obj, path=None) -> None:
 
 
 def _json_variation(value):
-    # a JSON number where binary64 holds it, else 17 significant digits as a string
+    # a JSON number where binary64 holds it, else (always past 128 bits) fmt_number's 17 digits as a string
     try:
         return float(value)
     except OverflowError:
-        ctx = Context(prec=17, Emax=MAX_EMAX)
-        return format(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)), ".16e")
+        return fmt_number(value)
 
 
 def _estimate_json(p, est) -> dict:
@@ -128,25 +130,10 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_kneading(args) -> int:
+    # periods are certified by an exact map; a float map's are null
     m = _map(args)
-    bp, p = m.branches, m.p
-    kp = kneading_prefixes(bp, p, args.n)
-    alpha_period, beta_period = kp.alpha_period, kp.beta_period
-    if not m.is_exact:
-        # heuristic candidates only; exact mode certifies these instead
-        alpha_period = detect_period(bp, p, "lower", args.n)
-        beta_period = detect_period(bp, p, "upper", args.n)
-    _emit(
-        {
-            "p": float(p),
-            "n": args.n,
-            "alpha": kp.alpha,
-            "beta": kp.beta,
-            "alpha_period": alpha_period,
-            "beta_period": beta_period,
-            "mode": args.mode,
-        }
-    )
+    kp = kneading_prefixes(m.branches, m.p, args.n)
+    _emit({"p": float(m.p), "n": args.n, **asdict(kp), "mode": args.mode})
     return 0
 
 

@@ -9,6 +9,9 @@ under the lower map and beta under the upper map; for p strictly inside
 
 Symbol words are plain '0'/'1' strings, so Python's string order is the
 lexicographic order with 0 < 1.
+
+Periods are reported only when certified: an exact map proves T^k(p) = p,
+while a float map's rounded orbit proves nothing and gets no period.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from .maps import LOWER, UPPER, BranchPair, LorenzMap
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-#: below this distance a float orbit returning near p counts as a heuristic period
-FLOAT_PERIOD_TOL = 1e-12
-
 
 def _check_word(word: str) -> None:
     if word.strip("01"):
@@ -31,7 +31,7 @@ def _check_word(word: str) -> None:
 
 @dataclass(frozen=True)
 class KneadingPair:
-    """Finite kneading prefixes plus optionally detected orbit periods."""
+    """Finite kneading prefixes plus their certified orbit periods, if any."""
 
     alpha: str
     beta: str
@@ -58,59 +58,54 @@ def itinerary(m: LorenzMap, x, n: int) -> str:
     """First n itinerary symbols of x under m (n >= 1)."""
     if n < 1:
         raise DomainError("itinerary length must be >= 1")
-    return _walk(m, x, n, find_period=False)[0]
+    return _walk(m, x, n)[0]
 
 
-def _walk(m: LorenzMap, x, n: int, find_period: bool):
-    """(itinerary(m, x, n), smallest k <= n with T^k(x) = x or None) from one orbit.
+def _walk(m: LorenzMap, x, n: int):
+    """(itinerary(m, x, n), certified period) from one orbit of x.
 
-    The orbit runs n - 1 steps, or n steps when find_period asks for the
-    exact return test; without it the period is None.
+    An exact map walks n steps and returns the smallest k <= n with
+    T^k(x) = x, or None.  A float map walks the n - 1 steps its symbols
+    need and returns None: a rounded orbit certifies no period.
     """
-    orbit = m.orbit(x, n if find_period else n - 1)
+    exact = m.is_exact
+    orbit = m.orbit(x, n if exact else n - 1)
     p = m.p
     if m.side == UPPER:
         symbols = "".join(["1" if v >= p else "0" for v in orbit[:n]])
     else:
         symbols = "".join(["0" if v <= p else "1" for v in orbit[:n]])
-    period = None
-    if find_period:
-        period = next((k for k in range(1, n + 1) if orbit[k] == orbit[0]), None)
+    period = next((k for k in range(1, n + 1) if orbit[k] == orbit[0]), None) if exact else None
     return symbols, period
 
 
 def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
     """Kneading prefixes alpha|n (lower map) and beta|n (upper map) at p, for n >= 1.
 
-    In exact mode the orbit periods up to n are certified and attached;
-    in float mode both periods are left unset.  Each one-sided orbit of p
-    is walked once for both its symbols and its period.
+    An exact map attaches the certified orbit periods up to n; a float map
+    leaves both unset.  Each one-sided orbit of p is walked once.
     """
     if n < 1:
         raise DomainError("kneading prefix length must be >= 1")
     lower = LorenzMap(bp, p, LOWER)
     upper = LorenzMap(bp, p, UPPER)
-    exact = lower.is_exact
-    alpha, alpha_period = _walk(lower, lower.p, n, exact)
-    beta, beta_period = _walk(upper, upper.p, n, exact)
+    alpha, alpha_period = _walk(lower, lower.p, n)
+    beta, beta_period = _walk(upper, upper.p, n)
     return KneadingPair(alpha, beta, alpha_period, beta_period)
 
 
-def detect_period(bp: BranchPair, p, side: str, n_max: int, tol: float = FLOAT_PERIOD_TOL) -> int | None:
-    """Smallest n <= n_max with T^n(p) = p, or None.
+def detect_period(bp: BranchPair, p, side: str, n_max: int) -> int | None:
+    """Certified smallest n <= n_max with T^n(p) = p, or None.
 
-    The map's numbers decide the test: an exact map certifies T^n(p) = p,
-    while a float map tests |T^n(p) - p| < tol and the result is only a
-    candidate.
+    Periods are certified in exact mode only, so a float map raises
+    DomainError; n_max <= 0 gives None.
     """
     m = LorenzMap(bp, p, side)
-    exact = m.is_exact
-    x = m.p
-    for k in range(1, n_max + 1):
-        x = m.apply(x)
-        if (x == m.p) if exact else (abs(x - m.p) < tol):
-            return k
-    return None
+    if n_max < 1:
+        return None
+    if not m.is_exact:
+        raise DomainError("periods are certified in exact mode only")
+    return _walk(m, m.p, n_max)[1]
 
 
 def compare_lex(u: str, v: str) -> int:

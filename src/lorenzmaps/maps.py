@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -54,6 +55,14 @@ def _coerce(value) -> Scalar:
 
 def _fmt_scalar(value) -> str:
     return str(value) if isinstance(value, Fraction) else repr(float(value))
+
+
+def fmt_number(value) -> str:
+    """Bounded text for an error message: floats and 128-bit Fractions verbatim, others to 17 digits."""
+    if isinstance(value, float) or value.numerator.bit_length() + value.denominator.bit_length() <= 128:
+        return str(value)
+    ctx = Context(prec=17, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return format(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)), ".16e")
 
 
 @dataclass(frozen=True)
@@ -271,9 +280,9 @@ def make_affine_pair(b0, b1) -> BranchPair:
     """
     b0, b1 = _coerce(b0), _coerce(b1)
     if not (b0 > 1 and b1 > 1):
-        raise InvalidSlopes(f"slopes must exceed 1, got ({b0}, {b1})")
+        raise InvalidSlopes(f"slopes must exceed 1, got ({fmt_number(b0)}, {fmt_number(b1)})")
     if b0 + b1 <= b0 * b1:
-        raise InvalidSlopes(f"need b0 + b1 > b0*b1, got ({b0}, {b1})")
+        raise InvalidSlopes(f"need b0 + b1 > b0*b1, got ({fmt_number(b0)}, {fmt_number(b1)})")
     return BranchPair(BranchSpec.affine_from_zero(b0), BranchSpec.affine_to_one(b1))
 
 
@@ -295,9 +304,8 @@ class LorenzMap:
         if self.side not in (UPPER, LOWER):
             raise DomainError(f"side must be {UPPER!r} or {LOWER!r}, got {self.side!r}")
         if not (self.branches.a <= self.p <= self.branches.b):
-            raise DomainError(
-                f"p = {self.p} outside [{self.branches.a}, {self.branches.b}]"
-            )
+            bounds = ", ".join(fmt_number(v) for v in (self.branches.a, self.branches.b))
+            raise DomainError(f"p = {fmt_number(self.p)} outside [{bounds}]")
 
     @property
     def is_exact(self) -> bool:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, LengthMismatch, MissingPeriodicForm, NoRootFound
 from .kneading import KneadingPair, kneading_prefixes
@@ -253,7 +252,8 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
     if np.all(vals < 0.0):
         raise NoRootFound("series is negative throughout the bracket")
 
-    # no crossing: look for a tangential root at the minimum
+    # no crossing: look for a tangential root at the minimum (the only scipy use, so imported here)
+    from scipy.optimize import minimize_scalar
     j = int(np.argmin(vals))
     left = float(xs[min(j + 1, len(xs) - 1)])
     right = float(xs[max(j - 1, 0)])

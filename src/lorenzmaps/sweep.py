@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import (
     DomainError,
@@ -37,7 +36,7 @@ from .errors import (
     ResourceLimit,
 )
 from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, entropy_laps
-from .maps import UPPER, BranchPair, LorenzMap
+from .maps import UPPER, BranchPair, LorenzMap, fmt_number
 from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
 
 STATUS_OK = "ok"
@@ -76,9 +75,11 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     a, b = Fraction(bp.a), Fraction(bp.b)
     lo, hi = Fraction(p_min), Fraction(p_max)
     if lo >= hi:
-        raise RangeError(f"need p_min < p_max, got [{lo}, {hi}]")
+        raise RangeError(f"need p_min < p_max, got [{fmt_number(lo)}, {fmt_number(hi)}]")
     if lo < a or hi > b:
-        raise RangeError(f"[{lo}, {hi}] not contained in [{a}, {b}]")
+        raise RangeError(
+            f"[{fmt_number(lo)}, {fmt_number(hi)}] not contained in [{fmt_number(a)}, {fmt_number(b)}]"
+        )
     margin = (hi - lo) / (points - 1)
     if lo == a:
         lo = a + margin
@@ -170,6 +171,7 @@ def detect_nonmonotonic(records, prominence_tol: float) -> list:
     """
     if not prominence_tol > 0:
         raise DomainError("prominence tolerance must be positive")
+    from scipy.signal import find_peaks  # imported on first use: scipy dominates the package's import time
     _, ps, hs = _ok_arrays(records)
     if len(ps) < 3:
         return []
@@ -203,16 +205,16 @@ def continuity_modulus(records):
     return float(jumps[i]), float(0.5 * (ps[i] + ps[i + 1]))
 
 
-def compare_methods(records_a, records_b, tol: float = 0.0):
+def compare_methods(records_a, records_b):
     """(max, mean, arg-max-p) of |h_a - h_b| over records where both succeeded.
 
-    The two sweeps must share the p grid (to within ``tol``).
+    The two sweeps must share the p grid: every p equal.
     """
     if len(records_a) != len(records_b):
         raise GridMismatch(f"grid sizes differ: {len(records_a)} vs {len(records_b)}")
     diffs, ps = [], []
     for ra, rb in zip(records_a, records_b):
-        if abs(ra.p - rb.p) > tol:
+        if ra.p != rb.p:
             raise GridMismatch(f"grids differ at p = {ra.p} vs {rb.p}")
         if ra.status == STATUS_OK and rb.status == STATUS_OK:
             diffs.append(abs(ra.estimate.entropy - rb.estimate.entropy))

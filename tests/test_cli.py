@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -120,6 +122,17 @@ class TestKneadingCommand:
         assert payload["mode"] == "float"
         assert payload["beta"] == exact["beta"]
         assert payload["alpha"] == exact["alpha"]
+
+
+    def test_float_mode_prints_no_periods(self, capsys):
+        # float mode keeps its words; a period is certified by exact mode only
+        code, out, _ = run_cli(
+            capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "0.6", "--n", "8", "--mode", "float"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["alpha"], payload["beta"]) == ("01111011", "10011110")
+        assert payload["alpha_period"] is None and payload["beta_period"] is None
 
 
 class TestLapsCommand:
@@ -487,6 +500,51 @@ class TestInputErrorsBeforeWork:
         assert out == ""
         assert err.startswith("error:") and "window" in err
         assert calls == []
+
+
+_TINY_P = "1e-5000"
+_B1_NEAR_1 = "1." + "0" * 400 + "1"
+
+
+class TestLargeNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--b0", "1e5000", "--b1", "1.5", "--p", "0.5"],
+            ["kneading", "--b0", "1.5", "--b1", "1.5", "--p", _TINY_P],
+            ["sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", _TINY_P, "--p-max", "0.6", "--points", "3",
+             "--workers", "1"],
+            ["entropy", "--b0", "1e400", "--b1", "1.5", "--p", "0.5"],
+        ],
+        ids=["slope-5001-digits", "p-5001-digits", "sweep-p-min-5001-digits", "slope-401-digits"],
+    )
+    def test_bounded_error_message(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert len(err.encode()) < 300
+
+    def test_float_rounding_names_exact_mode(self, capsys):
+        argv = ["entropy", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401"]
+        code, out, err = run_cli(capsys, *argv, "--mode", "float")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
+        code, out, err = run_cli(capsys, *argv, "--mode", "exact")
+        assert code == 0, err
+        assert json.loads(out)["entropy"] > 0
+
+
+class TestStartup:
+    def test_scipy_not_imported_with_the_package(self):
+        code = "import sys, lorenzmaps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 # a valid command with up to two numbers swapped for decimals with large exponents,

@@ -131,6 +131,18 @@ class TestKneadingPrefixes:
             with pytest.raises(DomainError, match=">= 1"):
                 kneading_prefixes(pair, p, n)
 
+    def test_one_orbit_walk_per_side(self, monkeypatch):
+        # an exact map takes n steps per side to certify a period; a float map the n - 1 its symbols need
+        calls = []
+        apply = LorenzMap.apply
+        monkeypatch.setattr(LorenzMap, "apply", lambda m, x: calls.append(x) or apply(m, x))
+        kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 8)
+        assert len(calls) == 16
+        calls.clear()
+        kp = kneading_prefixes(make_uniform_pair(1.5), 0.6, 8)
+        assert len(calls) == 14
+        assert (kp.alpha_period, kp.beta_period) == (None, None)
+
     def test_float_mode_has_no_periods(self):
         kp = kneading_prefixes(make_uniform_pair(1.5), 0.6, 8)
         assert kp.beta_period is None
@@ -166,8 +178,15 @@ class TestDetectPeriod:
         assert all(v != F(3, 5) for v in orbit[1:-1])
 
     def test_float_heuristic(self):
+        # a rounded orbit certifies nothing, so a float map gets no period guess
         bp = make_uniform_pair(1.5)
-        assert detect_period(bp, 0.6, UPPER, 10) == 2
+        with pytest.raises(DomainError, match="exact mode only"):
+            detect_period(bp, 0.6, UPPER, 10)
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_nonpositive_n_max_is_none(self, n_max):
+        assert detect_period(make_uniform_pair(F(3, 2)), F(3, 5), UPPER, n_max) is None
+        assert detect_period(make_uniform_pair(1.5), 0.6, UPPER, n_max) is None
 
 
 class TestCompareLex:

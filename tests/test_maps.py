@@ -18,6 +18,7 @@ from lorenzmaps import (
     make_uniform_pair,
     parse_scalar,
 )
+from lorenzmaps.maps import fmt_number
 
 F = Fraction
 
@@ -276,3 +277,32 @@ class TestParseScalar:
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):
             parse_scalar("one half")
+
+
+class TestFmtNumber:
+    def test_short_numbers_verbatim(self):
+        assert fmt_number(F(1, 10)) == "1/10"
+        assert fmt_number(F(3)) == "3"
+        assert fmt_number(1.5) == "1.5"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (F(10) ** 400, "1.0000000000000000e+400"),
+            (F(1, 3 * 10**5000), "3.3333333333333333e-5001"),
+            (-(F(2) ** 20000) / 3, "-1.3267589467793222e+6020"),
+        ],
+    )
+    def test_long_numbers_to_17_digits(self, value, text):
+        # past 4300 digits str() of the numerator raises; the bounded text does not
+        assert fmt_number(value) == text
+
+    def test_error_messages_stay_short(self):
+        with pytest.raises(DomainError, match=r"^p = 1/10 outside \[1/3, 2/3\]$"):
+            LorenzMap(make_uniform_pair(F(3, 2)), F(1, 10))
+        with pytest.raises(DomainError) as info:
+            LorenzMap(make_uniform_pair(F(3, 2)), F(1, 10**5000))
+        assert str(info.value) == "p = 1.0000000000000000e-5000 outside [1/3, 2/3]"
+        with pytest.raises(InvalidSlopes) as info:
+            make_affine_pair(F(10) ** 5000, F(3, 2))
+        assert str(info.value) == "need b0 + b1 > b0*b1, got (1.0000000000000000e+5000, 3/2)"

@@ -3,9 +3,10 @@
 Subcommands: entropy, kneading, laps, sweep, compare.  Single-point
 commands print JSON to stdout; sweep writes CSV (or JSON) to --out or
 stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
-read exactly, and --mode float rounds the validated exact map, as sweep
-rounds its grid points.  kneading periods are certified in exact mode and
-null in float mode.
+read exactly, and --mode float rounds the validated exact map.  entropy
+runs the sweep's point function with its defaults (--mode float for
+spectral, exact for laps), so it prints the sweep row at p.  kneading
+periods are certified in exact mode and null in float mode.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -18,18 +19,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from .errors import LorenzError, NoRootFound, ResourceLimit
 from .kneading import kneading_prefixes
-from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, _lap_estimate, entropy_laps, lap_states
-from .maps import UPPER, BranchPair, LorenzMap, fmt_number, make_affine_pair, parse_scalar
-from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
+from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, _lap_estimate, lap_states
+from .maps import BranchPair, fmt_number, make_affine_pair, parse_scalar
+from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL
 from .sweep import (
     compare_methods,
     cross_confirm_features,
-    default_order,
     detect_nonmonotonic,
+    estimate,
+    point_map,
+    record_row,
     sweep,
     write_csv,
 )
@@ -41,12 +44,12 @@ def _add_branch_args(sub):
     sub.add_argument("--branches", help="JSON file with f0/f1 branch specs")
 
 
-def _add_mode_arg(sub, default):
+def _add_mode_arg(sub, default=None):
     sub.add_argument(
         "--mode",
         choices=("exact", "float"),
         default=default,
-        help=f"numeric mode (default: {default})",
+        help=f"numeric mode (default: {default or 'float for spectral, exact for laps'})",
     )
 
 
@@ -59,15 +62,6 @@ def _load_pair(args) -> BranchPair:
     if not (args.b0 and args.b1):
         raise LorenzError("branch slopes missing: give --b0 and --b1, or --branches")
     return make_affine_pair(parse_scalar(args.b0), parse_scalar(args.b1))
-
-
-def _map(args) -> LorenzMap:
-    # validated exactly; rounding it cannot overflow, since p and every stored point lie in [0, 1]
-    m = LorenzMap(_load_pair(args), parse_scalar(args.p), UPPER)
-    try:
-        return m.to_float() if args.mode == "float" else m
-    except LorenzError as exc:
-        raise type(exc)(f"binary64 rounding for --mode float breaks this map ({exc}); use --mode exact") from exc
 
 
 def _above(kind, bound):
@@ -101,11 +95,6 @@ def _json_variation(value):
         return fmt_number(value)
 
 
-def _estimate_json(p, est) -> dict:
-    # p and every EntropyEstimate field, null for a point without an estimate
-    return {"p": float(p), **{f.name: getattr(est, f.name, None) for f in fields(EntropyEstimate)}}
-
-
 def _workers(args) -> int | None:
     if getattr(args, "workers", None) is not None:
         return args.workers
@@ -119,26 +108,22 @@ def _workers(args) -> int | None:
 
 
 def _cmd_entropy(args) -> int:
-    m = _map(args)
-    n = args.n if args.n is not None else default_order(args.method)
-    if args.method == SPECTRAL:
-        est = entropy_spectral(m.branches, m.p, n, args.tol)
-    else:
-        est = entropy_laps(m, n, args.window)
-    _emit(_estimate_json(m.p, est))
+    p = parse_scalar(args.p)
+    est = estimate(_load_pair(args), p, args.method, n=args.n, tol=args.tol, window=args.window, mode=args.mode)
+    _emit(record_row(p, est))
     return 0
 
 
 def _cmd_kneading(args) -> int:
     # periods are certified by an exact map; a float map's are null
-    m = _map(args)
+    m = point_map(_load_pair(args), parse_scalar(args.p), args.mode)
     kp = kneading_prefixes(m.branches, m.p, args.n)
     _emit({"p": float(m.p), "n": args.n, **asdict(kp), "mode": args.mode})
     return 0
 
 
 def _cmd_laps(args) -> int:
-    m = _map(args)
+    m = point_map(_load_pair(args), parse_scalar(args.p), args.mode)
     _check_window(args.n, args.window)
     states = lap_states(m, args.n)
     est = _lap_estimate(states, args.window)
@@ -175,7 +160,7 @@ def _cmd_sweep(args) -> int:
         workers=workers,
     )
     if args.format == "json":
-        _emit([{**_estimate_json(r.p, r.estimate), "status": r.status} for r in records], args.out)
+        _emit([record_row(r.p, r.estimate, r.status) for r in records], args.out)
     else:
         write_csv(records, args.out or sys.stdout)
     if args.features_out:
@@ -229,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("--n", type=int, default=None)
     entropy.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
     entropy.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    _add_mode_arg(entropy, "float")
+    _add_mode_arg(entropy)
     entropy.set_defaults(func=_cmd_entropy)
 
     kneading = subs.add_parser("kneading", help="kneading prefixes and periods at p")
@@ -256,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=int, default=None)
     swp.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
     swp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    swp.add_argument("--mode", choices=("exact", "float"), default=None)
+    _add_mode_arg(swp)
     swp.add_argument("--out", help="CSV/JSON output path (default: stdout)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--workers", type=_above(int, 0), default=None)

@@ -32,7 +32,8 @@ FLOAT_MERGE_TOL = 1e-12
 
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
-DEFAULT_MAX_CLASSES = 100_000
+#: lap_states raises ResourceLimit past this many interval classes in one step
+MAX_CLASSES = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def _merge_close(classes, tol):
     return dict(merged)
 
 
-def lap_states(m: LorenzMap, n: int, max_classes: int = DEFAULT_MAX_CLASSES) -> list:
+def lap_states(m: LorenzMap, n: int) -> list:
     """LapState after each of the first n steps."""
     if n < 1:
         raise DomainError("need at least one step")
@@ -97,17 +98,15 @@ def lap_states(m: LorenzMap, n: int, max_classes: int = DEFAULT_MAX_CLASSES) -> 
     for step in range(1, n + 1):
         if step > 1:
             classes = _advance(classes, f0, f1, p, exact)
-        if len(classes) > max_classes:
-            raise ResourceLimit(
-                f"{len(classes)} interval classes at step {step} exceed the cap {max_classes}"
-            )
+        if len(classes) > MAX_CLASSES:
+            raise ResourceLimit(f"{len(classes)} interval classes at step {step} exceed the cap {MAX_CLASSES}")
         out.append(LapState(step, tuple(sorted(classes.items()))))
     return out
 
 
-def lap_count(m: LorenzMap, n: int, max_classes: int = DEFAULT_MAX_CLASSES):
+def lap_count(m: LorenzMap, n: int):
     """(lap count of T^n, sum of its lap-image lengths)."""
-    state = lap_states(m, n, max_classes)[-1]
+    state = lap_states(m, n)[-1]
     return state.total_laps, state.total_variation
 
 

@@ -24,7 +24,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError, InvalidBranch, InvalidSlopes
+from .errors import DomainError, InvalidBranch, InvalidSlopes, LorenzError
 
 Scalar = Union[Fraction, float]
 
@@ -330,7 +330,11 @@ class LorenzMap:
         return out
 
     def to_float(self) -> "LorenzMap":
-        return LorenzMap(self.branches.to_float(), float(self.p), self.side)
+        # cannot overflow: p and every stored point lie in [0, 1]
+        try:
+            return LorenzMap(self.branches.to_float(), float(self.p), self.side)
+        except LorenzError as exc:
+            raise type(exc)(f"binary64 rounding for --mode float breaks this map ({exc}); use --mode exact") from exc
 
     def to_exact(self) -> "LorenzMap":
         return LorenzMap(self.branches.to_exact(), Fraction(self.p), self.side)

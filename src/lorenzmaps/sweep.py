@@ -7,9 +7,10 @@ record, and repeated runs are bit-identical regardless of worker count.
 Endpoints equal to a or b are pulled inside by one grid spacing, since
 the kneading data degenerates exactly at the ends.
 
-Spectral points run in float mode by default (fast, error-bounded); lap
-points run in exact mode (the big-integer counts are exact and the p
-values are promoted to exact dyadic rationals).
+Every point is ``estimate``: the upper map of the exact pair at an exact
+p, rounded to binary64 in float mode, the spectral default (fast,
+error-bounded); lap points default to exact mode.  A grid whose points
+share a binary64 value, the CSV ``p`` column, is rejected.
 
 The package binds the name ``lorenzmaps.sweep`` to the ``sweep`` function,
 so ``import lorenzmaps.sweep as S`` yields the function; reach this module
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 
@@ -88,25 +89,44 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     if lo >= hi:
         raise RangeError("range collapses once boundary margins are applied")
     step = (hi - lo) / (points - 1)
-    return [lo + i * step for i in range(points)]
+    grid = [lo + i * step for i in range(points)]
+    for x, y in zip(grid, grid[1:]):
+        if float(x) == float(y):
+            raise RangeError(f"grid points {fmt_number(x)} and {fmt_number(y)} share the binary64 p {float(x)!r}")
+    return grid
 
 
-def default_order(method: str) -> int:
-    """Default series order (spectral) or iterate count (laps) of a method."""
-    return DEFAULT_ORDER if method == SPECTRAL else DEFAULT_ITERATES
+def _mode(method: str, mode: str | None) -> str:
+    # float for spectral and exact for laps, unless mode says otherwise
+    if method not in (SPECTRAL, LAPS):
+        raise DomainError(f"unknown method {method!r}")
+    if mode not in (None, "float", "exact"):
+        raise DomainError(f"unknown mode {mode!r}")
+    return mode or ("float" if method == SPECTRAL else "exact")
 
 
-def _sweep_point(bp, method, n, tol, window, p) -> SweepRecord:
+def point_map(bp: BranchPair, p, mode: str) -> LorenzMap:
+    """The upper map of the exact pair bp at p, rounded to binary64 in float mode."""
+    m = LorenzMap(bp, p, UPPER)
+    return m.to_float() if mode == "float" else m
+
+
+def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WINDOW, mode=None) -> EntropyEstimate:
+    """The sweep row's estimate at p of the exact pair bp; n and mode None take the method's defaults."""
+    m = point_map(bp, p, _mode(method, mode))
+    if method == SPECTRAL:
+        return entropy_spectral(m.branches, m.p, DEFAULT_ORDER if n is None else n, tol)
+    return entropy_laps(m, DEFAULT_ITERATES if n is None else n, window)
+
+
+def _sweep_point(bp, method, n, tol, window, mode, p) -> SweepRecord:
     try:
-        if method == SPECTRAL:
-            est = entropy_spectral(bp, p, n, tol)
-        else:
-            est = entropy_laps(LorenzMap(bp, p, UPPER), n, window)
-        return SweepRecord(float(p), est, STATUS_OK)
+        est = estimate(bp, p, method, n=n, tol=tol, window=window, mode=mode)
     except NoRootFound:
         return SweepRecord(float(p), None, STATUS_NO_ROOT)
     except ResourceLimit:
         return SweepRecord(float(p), None, STATUS_RESOURCE_LIMIT)
+    return SweepRecord(float(p), est, STATUS_OK)
 
 
 def _run_points(fn, ps, workers) -> list:
@@ -131,29 +151,16 @@ def sweep(
     mode: str | None = None,
     workers: int | None = None,
 ) -> list:
-    """Entropy records on an equally spaced grid of p values.
+    """Entropy records of the exact pair bp on an equally spaced grid of p values.
 
     Per-point failures are recorded in the record status and never abort
     the sweep.  ``workers`` > 1 runs points in a process pool; the output
     order is by p either way.
     """
-    if method not in (SPECTRAL, LAPS):
-        raise DomainError(f"unknown method {method!r}")
-    if mode not in (None, "float", "exact"):
-        raise DomainError(f"unknown mode {mode!r}")
-    grid = _grid(bp, p_min, p_max, points)
-    if n is None:
-        n = default_order(method)
-    if mode is None:
-        mode = "float" if method == SPECTRAL else "exact"
-    if mode == "float":
-        bp_run = bp.to_float()
-        ps = [float(p) for p in grid]
-    else:
-        bp_run = bp.to_exact()
-        ps = grid
-    point = partial(_sweep_point, bp_run, method, n, tol, window)
-    return _run_points(point, ps, workers)
+    mode = _mode(method, mode)
+    point_map(bp, bp.a, mode)  # a pair that binary64 cannot hold fails before the grid
+    point = partial(_sweep_point, bp, method, n, tol, window, mode)
+    return _run_points(point, _grid(bp, p_min, p_max, points), workers)
 
 
 def _ok_arrays(records):
@@ -260,7 +267,7 @@ def cross_confirm_features(
         if i_hi - i_lo >= 2:
             spans.append((feat, i_lo, i_hi))
     union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
-    point = partial(_sweep_point, bp.to_exact(), LAPS, n, DEFAULT_TOL, window)
+    point = partial(_sweep_point, bp, LAPS, n, DEFAULT_TOL, window, None)
     lap_at = dict(zip(union, _run_points(point, [Fraction(ps[i]) for i in union], workers)))
     confirmed = []
     for feat, i_lo, i_hi in spans:
@@ -304,16 +311,14 @@ def csv_text(records) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for rec in records:
-        est = rec.estimate
-        writer.writerow(
-            [
-                _csv_cell(rec.p),
-                _csv_cell(est.entropy if est else None),
-                _csv_cell(est.gamma if est else None),
-                _csv_cell(est.method if est else None),
-                _csv_cell(est.order if est else None),
-                _csv_cell(est.error_bound if est else None),
-                rec.status,
-            ]
-        )
+        row = record_row(rec.p, rec.estimate, rec.status)
+        writer.writerow([_csv_cell(row[key]) for key in CSV_FIELDS])
     return buffer.getvalue()
+
+
+def record_row(p, est, status=None) -> dict:
+    """A point as JSON or CSV: p, the EntropyEstimate fields (None without one), then status if given."""
+    row = {"p": float(p), **{f.name: getattr(est, f.name, None) for f in fields(EntropyEstimate)}}
+    if status is not None:
+        row["status"] = status
+    return row

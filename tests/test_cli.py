@@ -67,12 +67,11 @@ class TestEntropyCommand:
     def test_no_root_exit_3(self, capsys, monkeypatch):
         # valid maps always yield a root or a certified tangency, so force the error
         from lorenzmaps import NoRootFound
-        import lorenzmaps.cli as cli_module
 
         def explode(*args, **kwargs):
             raise NoRootFound("forced")
 
-        monkeypatch.setattr(cli_module, "entropy_spectral", explode)
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_spectral", explode)
         code, _, err = run_cli(
             capsys, "entropy", "--b0", "1.5", "--b1", "1.5", "--p", "0.5"
         )
@@ -81,12 +80,11 @@ class TestEntropyCommand:
 
     def test_resource_limit_exit_4(self, capsys, monkeypatch):
         from lorenzmaps import ResourceLimit
-        import lorenzmaps.cli as cli_module
 
         def explode(*args, **kwargs):
             raise ResourceLimit("forced")
 
-        monkeypatch.setattr(cli_module, "entropy_laps", explode)
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_laps", explode)
         code, _, err = run_cli(
             capsys, "entropy", "--b0", "1.5", "--b1", "1.5", "--p", "0.5", "--method", "laps"
         )
@@ -328,6 +326,26 @@ class TestSweepCommand:
             counts[limit] = len(json.loads(text))
         assert counts == {"0": 2, "1": 1}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--b0", "1.5", "--b1", "1.5", "--p-min", "1/2", "--p-max", "0.50000000000000001"],
+            ["--b0", "1e400", "--b1", "1." + "0" * 400 + "1", "--p-min", "2e-401", "--p-max", "8e-401",
+             "--mode", "exact"],
+        ],
+        ids=["within-one-ulp", "below-binary64-range"],
+    )
+    def test_grid_colliding_in_binary64_exit_2(self, capsys, monkeypatch, argv):
+        # the CSV p column could not tell the rows apart
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_spectral", evaluated)
+        code, out, err = run_cli(capsys, "sweep", *argv, "--points", "3", "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: RangeError:") and "binary64" in err
+
 
 class TestCompareCommand:
     def test_uniform_agreement(self, capsys):
@@ -404,7 +422,7 @@ class TestArgumentHandling:
             raise AssertionError("a point was evaluated")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli_module, "entropy_spectral", evaluated)
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_spectral", evaluated)
         monkeypatch.setattr(cli_module, "sweep", evaluated)
         if env is not None:
             monkeypatch.setenv("LORENZ_WORKERS", env)
@@ -436,6 +454,21 @@ class TestSinglePointMatchesSweep:
         keys = ("entropy", "gamma", "error_bound")
         for row in rows:
             code, out, _ = run_cli(capsys, "entropy", *pair, "--p", row["p"])
+            assert code == 0
+            payload = json.loads(out)
+            assert [format(payload[k], ".17g") for k in keys] == [row[k] for k in keys]
+
+    def test_entropy_laps_prints_the_lap_sweep_row(self, capsys):
+        # without --mode both take the lap method's exact default
+        pair = ["--b0", "1.1", "--b1", "1.9", "--method", "laps"]
+        code, out, _ = run_cli(
+            capsys, "sweep", *pair, "--p-min", "0.69", "--p-max", "0.71", "--points", "3", "--workers", "1"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        keys = ("p", "entropy", "gamma", "error_bound")
+        for p, row in zip(("0.69", "0.7", "0.71"), rows):
+            code, out, _ = run_cli(capsys, "entropy", *pair, "--p", p)
             assert code == 0
             payload = json.loads(out)
             assert [format(payload[k], ".17g") for k in keys] == [row[k] for k in keys]
@@ -526,6 +559,15 @@ class TestLargeNumbers:
         assert "Traceback" not in err
         assert len(err.encode()) < 300
 
+    def test_sweep_rounding_names_exact_mode(self, capsys):
+        # a spectral sweep rounds to binary64 by default, and says so when the rounding breaks the map
+        argv = ["sweep", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p-min", "2e-401", "--p-max", "8e-401",
+                "--points", "3", "--workers", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
+
     def test_float_rounding_names_exact_mode(self, capsys):
         argv = ["entropy", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401"]
         code, out, err = run_cli(capsys, *argv, "--mode", "float")
@@ -566,20 +608,28 @@ _PS = st.integers(30, 70).map(lambda k: f"{k}/100")
 
 @st.composite
 def _commands(draw):
-    command = draw(st.sampled_from(["entropy", "kneading", "laps", "sweep"]))
+    command = draw(st.sampled_from(["entropy", "kneading", "laps", "sweep", "compare"]))
+    grid = command in ("sweep", "compare")
     numbers = {"--b0": draw(_SLOPES), "--b1": draw(_SLOPES)}
-    if command == "sweep":
+    if grid:
         numbers["--p-min"], numbers["--p-max"] = sorted(draw(st.lists(_PS, min_size=2, max_size=2)))
     else:
         numbers["--p"] = draw(_PS)
     for key in draw(st.lists(st.sampled_from(sorted(numbers)), max_size=2, unique=True)):
         numbers[key] = draw(_ODD_NUMBERS)
     argv = [command] + [f"{key}={value}" for key, value in numbers.items()]
-    argv.append(f"--n={draw(st.integers(-2, 40))}")
-    if command == "sweep":
-        argv += [f"--points={draw(st.integers(-1, 4))}", "--workers=1"]
+    if command == "compare":
+        # small orders keep a compare example as cheap as the other commands
+        argv += [f"--spectral-n={draw(st.integers(-2, 40))}", f"--laps-n={draw(st.integers(-2, 16))}"]
     else:
-        argv.append(f"--mode={draw(st.sampled_from(['exact', 'float']))}")
+        argv.append(f"--n={draw(st.integers(-2, 40))}")
+    if grid:
+        argv += [f"--points={draw(st.integers(-1, 4))}", "--workers=1"]
+    if command != "compare":
+        # an omitted --mode fuzzes each command's default
+        mode = draw(st.sampled_from([None, "exact", "float"]))
+        if mode:
+            argv.append(f"--mode={mode}")
     if command in ("entropy", "sweep"):
         argv.append(f"--method={draw(st.sampled_from(['spectral', 'laps']))}")
     if command != "kneading":

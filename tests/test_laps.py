@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,9 +77,10 @@ class TestLapCount:
         with pytest.raises(DomainError):
             lap_count(half_map, 0)
 
-    def test_resource_cap(self, half_map):
+    def test_resource_cap(self, half_map, monkeypatch):
+        monkeypatch.setattr(sys.modules["lorenzmaps.laps"], "MAX_CLASSES", 8)
         with pytest.raises(ResourceLimit):
-            lap_count(half_map, 30, max_classes=8)
+            lap_count(half_map, 30)
 
     def test_float_variation_overflow_is_resource_limit(self):
         big = 2**1100  # lap multiplicity beyond binary64's range

@@ -19,6 +19,7 @@ parameter sweeps.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
@@ -31,13 +32,25 @@ Scalar = Union[Fraction, float]
 UPPER = "upper"
 LOWER = "lower"
 
+#: largest decimal exponent magnitude parse_scalar reads: Python's default digit limit
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 
 def parse_scalar(text) -> Fraction:
-    """Parse "0.5", "9/19", "1.1", 3, ... into the Fraction it denotes exactly."""
+    """Parse "0.5", "9/19", "1.1", 3, ... into the Fraction it denotes exactly.
+
+    An exponent past ``MAX_EXPONENT`` is rejected unbuilt; an error echoes at most 40 characters.
+    """
+    text = str(text)
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+    exponent = _EXPONENT.match(text)
     try:
-        return Fraction(str(text))
+        if not (exponent and abs(int(exponent[1])) > MAX_EXPONENT):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse number: {text!r}") from exc
+        raise DomainError(f"cannot parse number: {shown}") from exc
+    raise DomainError(f"decimal exponent of {shown} exceeds {MAX_EXPONENT} in magnitude")
 
 
 def _coerce(value) -> Scalar:
@@ -218,17 +231,6 @@ class BranchPair:
     def is_exact(self) -> bool:
         return self.f0.is_exact and self.f1.is_exact
 
-    def branch(self, i: int) -> BranchSpec:
-        if i not in (0, 1):
-            raise DomainError(f"branch index must be 0 or 1, got {i!r}")
-        return self.f0 if i == 0 else self.f1
-
-    def eval_branch(self, i: int, x) -> Scalar:
-        return self.branch(i)(x)
-
-    def inverse_branch(self, i: int, y) -> Scalar:
-        return self.branch(i).inverse(y)
-
     def to_float(self) -> "BranchPair":
         return BranchPair(self.f0.to_float(), self.f1.to_float())
 
@@ -334,7 +336,7 @@ class LorenzMap:
         try:
             return LorenzMap(self.branches.to_float(), float(self.p), self.side)
         except LorenzError as exc:
-            raise type(exc)(f"binary64 rounding for --mode float breaks this map ({exc}); use --mode exact") from exc
+            raise type(exc)(f"binary64 rounding for float mode breaks this map ({exc}); use --mode exact") from exc
 
     def to_exact(self) -> "LorenzMap":
         return LorenzMap(self.branches.to_exact(), Fraction(self.p), self.side)

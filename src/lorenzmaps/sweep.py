@@ -9,8 +9,9 @@ the kneading data degenerates exactly at the ends.
 
 Every point is ``estimate``: the upper map of the exact pair at an exact
 p, rounded to binary64 in float mode, the spectral default (fast,
-error-bounded); lap points default to exact mode.  A grid whose points
-share a binary64 value, the CSV ``p`` column, is rejected.
+error-bounded); lap points default to exact mode.  A record keeps its exact
+grid point; CSV, JSON and numpy see only its binary64 rounding, so a grid
+whose points share a rounding is rejected.
 
 The package binds the name ``lorenzmaps.sweep`` to the ``sweep`` function,
 so ``import lorenzmaps.sweep as S`` yields the function; reach this module
@@ -55,7 +56,9 @@ CONFIRM_PAD = 3
 
 @dataclass(frozen=True)
 class SweepRecord:
-    p: float
+    """One grid point: its exact p, its estimate (None unless status is ok) and its status."""
+
+    p: Fraction
     estimate: EntropyEstimate | None
     status: str
 
@@ -121,12 +124,11 @@ def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WIND
 
 def _sweep_point(bp, method, n, tol, window, mode, p) -> SweepRecord:
     try:
-        est = estimate(bp, p, method, n=n, tol=tol, window=window, mode=mode)
+        return SweepRecord(p, estimate(bp, p, method, n=n, tol=tol, window=window, mode=mode), STATUS_OK)
     except NoRootFound:
-        return SweepRecord(float(p), None, STATUS_NO_ROOT)
+        return SweepRecord(p, None, STATUS_NO_ROOT)
     except ResourceLimit:
-        return SweepRecord(float(p), None, STATUS_RESOURCE_LIMIT)
-    return SweepRecord(float(p), est, STATUS_OK)
+        return SweepRecord(p, None, STATUS_RESOURCE_LIMIT)
 
 
 def _run_points(fn, ps, workers) -> list:
@@ -165,7 +167,7 @@ def sweep(
 
 def _ok_arrays(records):
     ok = [r for r in records if r.status == STATUS_OK]
-    ps = np.array([r.p for r in ok])
+    ps = np.array([float(r.p) for r in ok])
     hs = np.array([r.estimate.entropy for r in ok])
     return ok, ps, hs
 
@@ -215,14 +217,14 @@ def continuity_modulus(records):
 def compare_methods(records_a, records_b):
     """(max, mean, arg-max-p) of |h_a - h_b| over records where both succeeded.
 
-    The two sweeps must share the p grid: every p equal.
+    The two sweeps must share the p grid: every exact p equal.
     """
     if len(records_a) != len(records_b):
         raise GridMismatch(f"grid sizes differ: {len(records_a)} vs {len(records_b)}")
     diffs, ps = [], []
     for ra, rb in zip(records_a, records_b):
         if ra.p != rb.p:
-            raise GridMismatch(f"grids differ at p = {ra.p} vs {rb.p}")
+            raise GridMismatch(f"grids differ at p = {fmt_number(ra.p)} vs {fmt_number(rb.p)}")
         if ra.status == STATUS_OK and rb.status == STATUS_OK:
             diffs.append(abs(ra.estimate.entropy - rb.estimate.entropy))
             ps.append(ra.p)
@@ -239,23 +241,17 @@ def _max_error(records, fallback):
 
 
 def cross_confirm_features(
-    bp: BranchPair,
-    records,
-    features,
-    *,
-    prominence_tol: float,
-    n: int = DEFAULT_ITERATES,
-    window: int = DEFAULT_WINDOW,
-    workers: int | None = None,
+    bp: BranchPair, records, features, *, prominence_tol: float, workers: int | None = None
 ) -> list:
     """Keep only features the lap method reproduces on the feature's own sub-grid.
 
     For each candidate, the lap estimator is run on the sweep's p values
     covering the feature (padded by ``CONFIRM_PAD`` grid points) and must
     show a same-direction feature overlapping in p whose prominence matches
-    within the two methods' combined error bounds.  A lap record depends only on
-    p, so the union of all sub-grids is evaluated once, each distinct p a
-    single time, in one pool when ``workers`` > 1.
+    within the two methods' combined error bounds.  A lap record is the lap
+    sweep's record at the same exact grid point, so the union of all
+    sub-grids is evaluated once, each p a single time, in one pool when
+    ``workers`` > 1.
     """
     ok, ps, _ = _ok_arrays(records)
     if len(ps) < 3 or not features:
@@ -267,8 +263,8 @@ def cross_confirm_features(
         if i_hi - i_lo >= 2:
             spans.append((feat, i_lo, i_hi))
     union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
-    point = partial(_sweep_point, bp, LAPS, n, DEFAULT_TOL, window, None)
-    lap_at = dict(zip(union, _run_points(point, [Fraction(ps[i]) for i in union], workers)))
+    point = partial(_sweep_point, bp, LAPS, None, DEFAULT_TOL, DEFAULT_WINDOW, None)
+    lap_at = dict(zip(union, _run_points(point, [ok[i].p for i in union], workers)))
     confirmed = []
     for feat, i_lo, i_hi in spans:
         lap_records = [lap_at[i] for i in range(i_lo, i_hi + 1)]

@@ -125,8 +125,7 @@ def test_criterion_2_cross_method_agreement(grid200):
 def test_criterion_3_nonmonotonicity(affine_pair, sweep4000):
     features = detect_nonmonotonic(sweep4000, 1e-5)
     confirmed = cross_confirm_features(
-        affine_pair, sweep4000, features[:4],
-        prominence_tol=1e-5, n=LAPS_N, window=LAPS_WINDOW, workers=WORKERS,
+        affine_pair, sweep4000, features[:4], prominence_tol=1e-5, workers=WORKERS,
     )
     best = confirmed[0].prominence if confirmed else 0.0
     report(

@@ -548,8 +548,10 @@ class TestLargeNumbers:
             ["sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", _TINY_P, "--p-max", "0.6", "--points", "3",
              "--workers", "1"],
             ["entropy", "--b0", "1e400", "--b1", "1.5", "--p", "0.5"],
+            ["entropy", "--b0", "1" * 5000, "--b1", "1.5", "--p", "0.5"],
         ],
-        ids=["slope-5001-digits", "p-5001-digits", "sweep-p-min-5001-digits", "slope-401-digits"],
+        ids=["slope-5001-digits", "p-5001-digits", "sweep-p-min-5001-digits", "slope-401-digits",
+             "literal-5000-digits"],
     )
     def test_bounded_error_message(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -567,6 +569,7 @@ class TestLargeNumbers:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
+        assert "--mode float" not in err
 
     def test_float_rounding_names_exact_mode(self, capsys):
         argv = ["entropy", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401"]
@@ -597,7 +600,7 @@ _ODD_NUMBERS = st.one_of(
         st.sampled_from(["", "-"]),
         st.integers(0, 99),
         st.integers(0, 999),
-        st.integers(-400, 400),
+        st.one_of(st.integers(-400, 400), st.integers(-10**9, 10**9)),
     ),
     st.builds("{}/{}".format, st.integers(-3, 10**6), st.integers(-3, 10**6)),
     st.sampled_from(["nan", "inf", "-inf", "1/0", "abc", ""]),

@@ -18,7 +18,7 @@ from lorenzmaps import (
     make_uniform_pair,
     parse_scalar,
 )
-from lorenzmaps.maps import fmt_number
+from lorenzmaps.maps import MAX_EXPONENT, fmt_number
 
 F = Fraction
 
@@ -64,31 +64,28 @@ class TestMakeAffinePair:
 class TestBranchEval:
     def test_uniform_values(self):
         bp = make_uniform_pair(F(3, 2))
-        assert bp.eval_branch(1, F(1, 2)) == F(1, 4)
-        assert bp.eval_branch(0, F(1, 2)) == F(3, 4)
+        assert bp.f1(F(1, 2)) == F(1, 4)
+        assert bp.f0(F(1, 2)) == F(3, 4)
 
     def test_endpoint_surjectivity(self):
         bp = make_affine_pair(F(11, 10), F(19, 10))
-        assert bp.eval_branch(0, F(10, 11)) == 1
-        assert bp.eval_branch(0, 0) == 0
-        assert bp.eval_branch(1, F(9, 19)) == 0
-        assert bp.eval_branch(1, 1) == 1
+        assert bp.f0(F(10, 11)) == 1
+        assert bp.f0(0) == 0
+        assert bp.f1(F(9, 19)) == 0
+        assert bp.f1(1) == 1
 
     def test_outside_domain(self):
         bp = make_uniform_pair(F(3, 2))
         with pytest.raises(DomainError):
-            bp.eval_branch(0, F(3, 4))  # f0 lives on [0, 2/3]
+            bp.f0(F(3, 4))  # f0 lives on [0, 2/3]
         with pytest.raises(DomainError):
-            bp.eval_branch(1, F(1, 4))
-        with pytest.raises(DomainError):
-            bp.eval_branch(2, F(1, 2))
+            bp.f1(F(1, 4))
 
     def test_strictly_increasing(self):
         rng = random.Random(7)
         bp = make_affine_pair(F(11, 10), F(19, 10))
         for _ in range(100):
-            i = rng.choice((0, 1))
-            spec = bp.branch(i)
+            spec = rng.choice((bp.f0, bp.f1))
             x = spec.lo + F(rng.randint(0, 999), 1000) * (spec.hi - spec.lo)
             y = spec.lo + F(rng.randint(0, 999), 1000) * (spec.hi - spec.lo)
             if x == y:
@@ -101,8 +98,7 @@ class TestBranchEval:
         pair = BranchPair(pwl, BranchSpec.affine_to_one(F(3, 2)))
         rng = random.Random(11)
         for _ in range(200):
-            i = rng.choice((0, 1))
-            spec = pair.branch(i)
+            spec = rng.choice((pair.f0, pair.f1))
             # stay within one linear piece
             k = rng.randrange(len(spec.points) - 1)
             (x1, _), (x2, _) = spec.points[k], spec.points[k + 1]
@@ -114,29 +110,27 @@ class TestBranchEval:
 class TestInverse:
     def test_uniform_values(self):
         bp = make_uniform_pair(F(3, 2))
-        assert bp.inverse_branch(0, F(1, 2)) == F(1, 3)
-        assert bp.inverse_branch(1, F(1, 2)) == F(2, 3)
-        assert bp.inverse_branch(1, 0) == bp.a
+        assert bp.f0.inverse(F(1, 2)) == F(1, 3)
+        assert bp.f1.inverse(F(1, 2)) == F(2, 3)
+        assert bp.f1.inverse(0) == bp.a
 
     def test_outside_range(self):
         bp = make_uniform_pair(F(3, 2))
         with pytest.raises(DomainError):
-            bp.inverse_branch(0, F(3, 2))
+            bp.f0.inverse(F(3, 2))
 
     def test_roundtrip_exact(self):
         bp = make_affine_pair(F(11, 10), F(19, 10))
         rng = random.Random(3)
         for _ in range(200):
-            i = rng.choice((0, 1))
-            spec = bp.branch(i)
+            spec = rng.choice((bp.f0, bp.f1))
             x = spec.lo + F(rng.randint(0, 10**6), 10**6) * (spec.hi - spec.lo)
             assert spec.inverse(spec(x)) == x
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_roundtrip_float_within_ulps(self, t):
         bp = make_affine_pair(1.1, 1.9)
-        for i in (0, 1):
-            spec = bp.branch(i)
+        for spec in (bp.f0, bp.f1):
             x = spec.lo + t * (spec.hi - spec.lo)
             x = min(max(x, spec.lo), spec.hi)
             back = spec.inverse(spec(x))
@@ -146,12 +140,12 @@ class TestInverse:
         bp = make_affine_pair(F(11, 10), F(19, 10))
         rng = random.Random(5)
         for _ in range(100):
-            i = rng.choice((0, 1))
+            spec = rng.choice((bp.f0, bp.f1))
             y1 = F(rng.randint(0, 1000), 1000)
             y2 = F(rng.randint(0, 1000), 1000)
             if y1 == y2:
                 continue
-            x1, x2 = bp.inverse_branch(i, y1), bp.inverse_branch(i, y2)
+            x1, x2 = spec.inverse(y1), spec.inverse(y2)
             gap = abs(y1 - y2)
             assert gap / bp.c_max <= abs(x1 - x2) <= gap / bp.c_min
 
@@ -273,10 +267,13 @@ class TestParseScalar:
         assert parse_scalar("9/19") == F(9, 19)
         assert parse_scalar("0.5") == F(1, 2)
         assert parse_scalar("1.1") == F(11, 10)
+        assert parse_scalar(f"1e-{MAX_EXPONENT}") == F(1, 10**MAX_EXPONENT)
 
     def test_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            parse_scalar("one half")
+        # an exponent past MAX_EXPONENT is refused before 10**exponent is built
+        for text in ("one half", "1e4301", "-2.5E-4301", "1e999999999"):
+            with pytest.raises(DomainError):
+                parse_scalar(text)
 
 
 class TestFmtNumber:

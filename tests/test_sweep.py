@@ -51,7 +51,7 @@ class TestSweep:
     def test_two_points(self):
         bp = make_uniform_pair(F(3, 2))
         recs = sweep(bp, F(2, 5), F(3, 5), 2, "spectral", n=50, tol=1e-8)
-        assert [r.p for r in recs] == [0.4, 0.6]
+        assert [r.p for r in recs] == [F(2, 5), F(3, 5)]
 
     def test_range_validation(self):
         bp = make_uniform_pair(F(3, 2))
@@ -66,8 +66,8 @@ class TestSweep:
         bp = make_uniform_pair(F(3, 2))
         recs = sweep(bp, bp.a, bp.b, 11, "spectral", n=50)
         margin = (bp.b - bp.a) / 10
-        assert recs[0].p == float(bp.a + margin)
-        assert recs[-1].p == float(bp.b - margin)
+        assert recs[0].p == bp.a + margin
+        assert recs[-1].p == bp.b - margin
 
     def test_workers_do_not_change_output(self):
         bp = make_affine_pair(F(11, 10), F(19, 10))
@@ -144,9 +144,11 @@ class TestCrossConfirm:
         parallel = cross_confirm_features(bp, records, features, prominence_tol=1e-5, workers=2)
         assert serial == parallel
         assert len(serial) >= 1
-        # one batch per call, each p evaluated once
+        # one batch per call, each p evaluated once, at the exact grid point of the lap sweep
         assert len(batches) == 2
         assert batches[0] == sorted(set(batches[0]))
+        grid = set(sweep_module._grid(bp, F(9, 19), F(10, 11), 60))
+        assert all(p in grid for p in batches[0])
 
 
 class TestContinuityModulus:

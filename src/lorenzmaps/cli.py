@@ -3,10 +3,10 @@
 Subcommands: entropy, kneading, laps, sweep, compare.  Single-point
 commands print JSON to stdout; sweep writes CSV (or JSON) to --out or
 stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
-read exactly, and --mode float rounds the validated exact map.  entropy
-runs the sweep's point function with its defaults (--mode float for
-spectral, exact for laps), so it prints the sweep row at p.  kneading
-periods are certified in exact mode and null in float mode.
+read exactly, and every command evaluates the validated exact map unless
+--mode float rounds it to binary64.  entropy runs the sweep's point
+function, so it prints the sweep row at p.  kneading periods and spectral
+certificates are given in exact mode only: a rounded orbit proves nothing.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .errors import LorenzError, NoRootFound, ResourceLimit
+from .errors import InvalidBranch, LorenzError, NoRootFound, ResourceLimit
 from .kneading import kneading_prefixes
 from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, _lap_estimate, lap_states
 from .maps import BranchPair, fmt_number, make_affine_pair, parse_scalar
@@ -44,12 +44,12 @@ def _add_branch_args(sub):
     sub.add_argument("--branches", help="JSON file with f0/f1 branch specs")
 
 
-def _add_mode_arg(sub, default=None):
+def _add_mode_arg(sub):
     sub.add_argument(
         "--mode",
         choices=("exact", "float"),
-        default=default,
-        help=f"numeric mode (default: {default or 'float for spectral, exact for laps'})",
+        default="exact",
+        help="numeric mode: exact, or float to round the map to binary64 (default: exact)",
     )
 
 
@@ -58,7 +58,12 @@ def _load_pair(args) -> BranchPair:
         if args.b0 or args.b1:
             raise LorenzError("give either --b0/--b1 or --branches, not both")
         with open(args.branches, "r", encoding="utf-8") as handle:
-            return BranchPair.from_json_dict(json.load(handle))
+            try:
+                obj = json.load(handle)
+            except (ValueError, RecursionError) as exc:
+                # the cause is cut short: the digit-limit message alone runs past 130 characters
+                raise InvalidBranch(f"{args.branches}: not a readable JSON file ({str(exc)[:80]})") from exc
+        return BranchPair.from_json_dict(obj)
     if not (args.b0 and args.b1):
         raise LorenzError("branch slopes missing: give --b0 and --b1, or --branches")
     return make_affine_pair(parse_scalar(args.b0), parse_scalar(args.b1))
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_branch_args(kneading)
     kneading.add_argument("--p", required=True)
     kneading.add_argument("--n", type=int, default=32)
-    _add_mode_arg(kneading, "exact")
+    _add_mode_arg(kneading)
     kneading.set_defaults(func=_cmd_kneading)
 
     laps = subs.add_parser("laps", help="lap count, variation and lap entropy at p")
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     laps.add_argument("--p", required=True)
     laps.add_argument("--n", type=int, default=DEFAULT_ITERATES)
     laps.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    _add_mode_arg(laps, "exact")
+    _add_mode_arg(laps)
     laps.set_defaults(func=_cmd_laps)
 
     swp = subs.add_parser("sweep", help="entropy curve over a p range")
@@ -281,7 +286,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (LorenzError, OSError, json.JSONDecodeError) as exc:
+    except (LorenzError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -17,9 +17,11 @@ while a float map's rounded orbit proves nothing and gets no period.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, LengthMismatch
-from .maps import LOWER, UPPER, BranchPair, LorenzMap
+from .maps import LOWER, UPPER, BranchPair, BranchSpec, LorenzMap, _coerce
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -64,19 +66,64 @@ def itinerary(m: LorenzMap, x, n: int) -> str:
 def _walk(m: LorenzMap, x, n: int):
     """(itinerary(m, x, n), certified period) from one orbit of x.
 
-    An exact map walks n steps and returns the smallest k <= n with
-    T^k(x) = x, or None.  A float map walks the n - 1 steps its symbols
-    need and returns None: a rounded orbit certifies no period.
+    An exact map at an exact x walks the integer orbit (``_integer_walk``)
+    and returns the smallest k <= n with T^k(x) = x, or None.  Otherwise
+    ``m.orbit`` walks the n - 1 steps the symbols need, and the period is
+    None: a rounded orbit certifies no period.
     """
-    exact = m.is_exact
-    orbit = m.orbit(x, n if exact else n - 1)
+    x = _coerce(x)
+    if not 0 <= x <= 1:
+        raise DomainError(f"{x!r} outside [0, 1]")
+    if m.is_exact and isinstance(x, Fraction):
+        return _integer_walk(m, x, n)
+    orbit = m.orbit(x, n - 1)
     p = m.p
     if m.side == UPPER:
-        symbols = "".join(["1" if v >= p else "0" for v in orbit[:n]])
-    else:
-        symbols = "".join(["0" if v <= p else "1" for v in orbit[:n]])
-    period = next((k for k in range(1, n + 1) if orbit[k] == orbit[0]), None) if exact else None
-    return symbols, period
+        return "".join(["1" if v >= p else "0" for v in orbit]), None
+    return "".join(["0" if v <= p else "1" for v in orbit]), None
+
+
+def _integer_pieces(spec: BranchSpec):
+    # interior breakpoints as (num, den), and each piece as (A, B, C) with y = (A*x + B)/C
+    cuts = tuple((x.numerator, x.denominator) for x, _ in spec.points[1:-1])
+    pieces = []
+    for (x0, y0), slope in zip(spec.points, spec.slopes):
+        shift = y0 - slope * x0
+        c = lcm(slope.denominator, shift.denominator)
+        pieces.append((int(slope * c), int(shift * c), c))
+    return cuts, pieces
+
+
+def _integer_walk(m: LorenzMap, x: Fraction, n: int):
+    """``_walk`` of an exact map at an exact x in [0, 1], on integers.
+
+    An orbit value is an unreduced pair (N, D) with D > 0; a piece
+    y = (A*x + B)/C steps it to (A*N + B*D, C*D), and every comparison
+    with p, a breakpoint or x is a cross-multiplication, so no step pays
+    for a gcd.  A certified period k makes the word k-periodic, so the
+    walk stops there.
+    """
+    f0, f1 = _integer_pieces(m.branches.f0), _integer_pieces(m.branches.f1)
+    pn, pd = m.p.numerator, m.p.denominator
+    xn, xd = x.numerator, x.denominator
+    upper = m.side == UPPER
+    num, den = xn, xd
+    word = []
+    for k in range(1, n + 1):
+        offset = num * pd - pn * den
+        right = offset >= 0 if upper else offset > 0
+        word.append("1" if right else "0")
+        cuts, pieces = f1 if right else f0
+        i = 0
+        for cn, cd in cuts:  # ascending: stop at the first breakpoint right of the value
+            if num * cd < cn * den:
+                break
+            i += 1
+        a, b, c = pieces[i]
+        num, den = a * num + b * den, c * den
+        if num * xd == xn * den:
+            return ("".join(word) * (n // k + 1))[:n], k
+    return "".join(word), None
 
 
 def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:

@@ -11,9 +11,9 @@ Numbers are either ``fractions.Fraction`` (exact mode) or binary64 floats,
 and a map's numbers decide its mode: it is exact iff every defining number
 is a Fraction.  Text and integers are read as Fractions (``parse_scalar``),
 so a float map is made by ``to_float()`` from an exact map that has already
-been validated.  Exact mode performs no rounding at all, which is what
-makes orbit periodicity checks trustworthy; float mode is the fast path for
-parameter sweeps.
+been validated.  Exact mode, the default everywhere, performs no rounding
+at all, which is what makes orbit periodicity checks and spectral
+certificates trustworthy; float mode is the rounded path.
 """
 
 from __future__ import annotations

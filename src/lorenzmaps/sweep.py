@@ -8,10 +8,10 @@ Endpoints equal to a or b are pulled inside by one grid spacing, since
 the kneading data degenerates exactly at the ends.
 
 Every point is ``estimate``: the upper map of the exact pair at an exact
-p, rounded to binary64 in float mode, the spectral default (fast,
-error-bounded); lap points default to exact mode.  A record keeps its exact
-grid point; CSV, JSON and numpy see only its binary64 rounding, so a grid
-whose points share a rounding is rejected.
+p, evaluated exactly by both methods unless mode is "float", which rounds
+that map to binary64.  A record keeps its exact grid point; CSV, JSON and
+numpy see only its binary64 rounding, so a grid whose points share a
+rounding is rejected.
 
 The package binds the name ``lorenzmaps.sweep`` to the ``sweep`` function,
 so ``import lorenzmaps.sweep as S`` yields the function; reach this module
@@ -100,12 +100,12 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
 
 
 def _mode(method: str, mode: str | None) -> str:
-    # float for spectral and exact for laps, unless mode says otherwise
+    # exact for every method unless mode is "float"
     if method not in (SPECTRAL, LAPS):
         raise DomainError(f"unknown method {method!r}")
     if mode not in (None, "float", "exact"):
         raise DomainError(f"unknown mode {mode!r}")
-    return mode or ("float" if method == SPECTRAL else "exact")
+    return mode or "exact"
 
 
 def point_map(bp: BranchPair, p, mode: str) -> LorenzMap:
@@ -115,7 +115,7 @@ def point_map(bp: BranchPair, p, mode: str) -> LorenzMap:
 
 
 def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WINDOW, mode=None) -> EntropyEstimate:
-    """The sweep row's estimate at p of the exact pair bp; n and mode None take the method's defaults."""
+    """The sweep row's estimate at p of the exact pair bp, exact unless mode is "float"; n None takes the method's default."""
     m = point_map(bp, p, _mode(method, mode))
     if method == SPECTRAL:
         return entropy_spectral(m.branches, m.p, DEFAULT_ORDER if n is None else n, tol)

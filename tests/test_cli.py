@@ -39,6 +39,16 @@ class TestEntropyCommand:
         assert payload["order"] == 500
         assert payload["certified"] is True
 
+    def test_certified_only_for_the_exact_map(self, capsys):
+        # a rounded orbit's kneading belongs to no map, so --mode float certifies nothing
+        argv = ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7"]
+        code, out, _ = run_cli(capsys, *argv, "--mode", "float")
+        assert code == 0
+        assert '"certified": false' in out
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert '"certified": true' in out
+
     def test_laps_method(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -433,6 +443,28 @@ class TestArgumentHandling:
         assert "Traceback" not in err
         assert not (tmp_path / "unwritten.json").exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            b"[" * 200000 + b"]" * 200000,
+            json.dumps({"f0": {"type": "affine", "slope": "SLOPE"}, "f1": {"type": "affine", "slope": "1.5"}})
+            .replace('"SLOPE"', "1" * 5001)
+            .encode(),
+            b"not json at all",
+        ],
+        ids=["utf16-bom", "nested-200000", "int-5001-digits", "plain-text"],
+    )
+    def test_unreadable_branch_file_exit_2(self, capsys, tmp_path, content):
+        spec_file = tmp_path / "branches.json"
+        spec_file.write_bytes(content)
+        code, out, err = run_cli(capsys, "entropy", "--branches", str(spec_file), "--p", "0.7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvalidBranch:") and str(spec_file) in err
+        assert "Traceback" not in err
+        assert len(err.encode()) < 300
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
             capsys, "entropy", "--branches", "/nonexistent/branches.json", "--p", "0.5"
@@ -562,14 +594,27 @@ class TestLargeNumbers:
         assert len(err.encode()) < 300
 
     def test_sweep_rounding_names_exact_mode(self, capsys):
-        # a spectral sweep rounds to binary64 by default, and says so when the rounding breaks the map
+        # a float sweep says so when the rounding breaks the map; without --mode the exact map is evaluated
         argv = ["sweep", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p-min", "2e-401", "--p-max", "8e-401",
                 "--points", "3", "--workers", "1"]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--mode", "float")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
         assert "--mode float" not in err
+        # this grid's points all round to the CSV p 0.0, so the exact sweep stops at the grid
+        code, out, err = run_cli(capsys, *argv, "--n", "60")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: RangeError:") and "share the binary64 p 0.0" in err
+        # b0 = 1.5 keeps the map's binary64 breakage, and its grid is distinct in binary64
+        wide = ["sweep", "--b0", "1.5", "--b1", _B1_NEAR_1, "--p-min", "0.3", "--p-max", "0.6",
+                "--points", "3", "--workers", "1"]
+        code, out, err = run_cli(capsys, *wide, "--mode", "float")
+        assert code == 2 and "binary64" in err
+        code, out, err = run_cli(capsys, *wide, "--n", "60")
+        assert code == 0, err
+        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
 
     def test_float_rounding_names_exact_mode(self, capsys):
         argv = ["entropy", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401"]

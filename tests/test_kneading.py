@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import lorenzmaps.kneading as kneading
 from lorenzmaps import (
     EQUAL,
     GREATER,
     LESS,
     LOWER,
     UPPER,
+    BranchPair,
+    BranchSpec,
     DomainError,
     KneadingPair,
     LengthMismatch,
@@ -132,15 +136,18 @@ class TestKneadingPrefixes:
                 kneading_prefixes(pair, p, n)
 
     def test_one_orbit_walk_per_side(self, monkeypatch):
-        # an exact map takes n steps per side to certify a period; a float map the n - 1 its symbols need
-        calls = []
-        apply = LorenzMap.apply
-        monkeypatch.setattr(LorenzMap, "apply", lambda m, x: calls.append(x) or apply(m, x))
+        # an exact map walks each side once on integers; a float map applies the n - 1 steps its symbols need
+        walks, applies = [], []
+        walk, apply = kneading._integer_walk, LorenzMap.apply
+        monkeypatch.setattr(kneading, "_integer_walk", lambda m, x, n: walks.append(m.side) or walk(m, x, n))
+        monkeypatch.setattr(LorenzMap, "apply", lambda m, x: applies.append(x) or apply(m, x))
         kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 8)
-        assert len(calls) == 16
-        calls.clear()
+        assert sorted(walks) == [LOWER, UPPER]
+        assert applies == []
+        walks.clear()
         kp = kneading_prefixes(make_uniform_pair(1.5), 0.6, 8)
-        assert len(calls) == 14
+        assert walks == []
+        assert len(applies) == 2 * (8 - 1)
         assert (kp.alpha_period, kp.beta_period) == (None, None)
 
     def test_float_mode_has_no_periods(self):
@@ -154,6 +161,57 @@ class TestKneadingPrefixes:
     def test_periodicity_validated(self):
         with pytest.raises(DomainError):
             KneadingPair("0110", "1011", beta_period=2)
+
+
+def orbit_walk_oracle(bp, p, n, side):
+    """(word, period) from LorenzMap.orbit: the Fraction walk the integer walk replaces."""
+    orbit = LorenzMap(bp, p, side).orbit(p, n)
+    if side == UPPER:
+        word = "".join("1" if v >= p else "0" for v in orbit[:n])
+    else:
+        word = "".join("0" if v <= p else "1" for v in orbit[:n])
+    return word, next((k for k in range(1, n + 1) if orbit[k] == orbit[0]), None)
+
+
+_UNIT = st.integers(1, 999).map(lambda k: F(k, 1000))  # a fraction strictly inside (0, 1)
+# slopes in (1, 2) always satisfy b0 + b1 > b0 * b1
+_AFFINE_PAIRS = st.builds(make_affine_pair, *[st.integers(101, 199).map(lambda k: F(k, 100))] * 2)
+
+
+@st.composite
+def _two_piece_pairs(draw):
+    # one interior breakpoint per branch; each t in (0, 1) keeps both slopes above 1
+    b = F(draw(st.integers(30, 95)), 100)
+    a = b * draw(_UNIT)
+    x0 = b * draw(_UNIT)
+    y0 = x0 + (1 - b) * draw(_UNIT)
+    x1 = a + (1 - a) * draw(_UNIT)
+    y1 = x1 - a + a * draw(_UNIT)
+    return BranchPair(BranchSpec(((0, 0), (x0, y0), (b, 1))), BranchSpec(((a, 0), (x1, y1), (1, 1))))
+
+
+class TestIntegerWalk:
+    """Exact kneading words and periods equal those of the Fraction orbit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bp=st.one_of(_AFFINE_PAIRS, _two_piece_pairs()),
+        t=st.integers(0, 1000).map(lambda k: F(k, 1000)),
+        n=st.integers(1, 200),
+    )
+    @example(bp=make_uniform_pair(F(3, 2)), t=F(4, 5), n=9)  # p = 3/5, beta has period 2
+    @example(bp=make_uniform_pair(F(3, 2)), t=F(1, 5), n=9)  # p = 2/5, alpha has period 2
+    def test_matches_fraction_orbit(self, bp, t, n):
+        p = bp.a + t * (bp.b - bp.a)
+        kp = kneading_prefixes(bp, p, n)
+        assert (kp.alpha, kp.alpha_period) == orbit_walk_oracle(bp, p, n, LOWER)
+        assert (kp.beta, kp.beta_period) == orbit_walk_oracle(bp, p, n, UPPER)
+
+    def test_x_outside_unit_interval(self):
+        m = LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), UPPER)
+        for x in (F(-1, 7), F(8, 7)):
+            with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+                itinerary(m, x, 3)
 
 
 class TestDetectPeriod:

@@ -4,9 +4,10 @@ Subcommands: entropy, kneading, laps, sweep, compare.  Single-point
 commands print JSON to stdout; sweep writes CSV (or JSON) to --out or
 stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
 read exactly, and every command evaluates the validated exact map unless
---mode float rounds it to binary64.  entropy runs the sweep's point
-function, so it prints the sweep row at p.  kneading periods and spectral
-certificates are given in exact mode only: a rounded orbit proves nothing.
+--mode float rounds it to binary64 for the lap method.  entropy runs the
+sweep's point function, so it prints the sweep row's estimate at p; p
+itself is printed as text where binary64 cannot hold it.  Kneading words,
+their periods and spectral certificates always come from the exact map.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -49,7 +50,7 @@ def _add_mode_arg(sub):
         "--mode",
         choices=("exact", "float"),
         default="exact",
-        help="numeric mode: exact, or float to round the map to binary64 (default: exact)",
+        help="lap method arithmetic: exact, or float to round the map to binary64 (default: exact)",
     )
 
 
@@ -92,12 +93,13 @@ def _emit(obj, path=None) -> None:
         handle.write(text)
 
 
-def _json_variation(value):
-    # a JSON number where binary64 holds it, else (always past 128 bits) fmt_number's 17 digits as a string
+def _json_number(value):
+    # a JSON number where binary64 holds the value (0 or a normal float), else fmt_number's 17 digits as a string
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         return fmt_number(value)
+    return number if value == 0 or abs(number) >= sys.float_info.min else fmt_number(value)
 
 
 def _workers(args) -> int | None:
@@ -115,15 +117,13 @@ def _workers(args) -> int | None:
 def _cmd_entropy(args) -> int:
     p = parse_scalar(args.p)
     est = estimate(_load_pair(args), p, args.method, n=args.n, tol=args.tol, window=args.window, mode=args.mode)
-    _emit(record_row(p, est))
+    _emit({**record_row(p, est), "p": _json_number(p)})
     return 0
 
 
 def _cmd_kneading(args) -> int:
-    # periods are certified by an exact map; a float map's are null
-    m = point_map(_load_pair(args), parse_scalar(args.p), args.mode)
-    kp = kneading_prefixes(m.branches, m.p, args.n)
-    _emit({"p": float(m.p), "n": args.n, **asdict(kp), "mode": args.mode})
+    bp, p = _load_pair(args), parse_scalar(args.p)
+    _emit({"p": _json_number(p), "n": args.n, **asdict(kneading_prefixes(bp, p, args.n))})
     return 0
 
 
@@ -135,11 +135,11 @@ def _cmd_laps(args) -> int:
     laps = states[-1].total_laps
     _emit(
         {
-            "p": float(m.p),
+            "p": _json_number(m.p),
             "order": args.n,
             "window": args.window,
             "laps": str(laps),
-            "variation": _json_variation(states[-1].total_variation),
+            "variation": _json_number(states[-1].total_variation),
             "entropy": est.entropy,
             "lap_rate": math.log(laps) / args.n,
             "error_bound": est.error_bound,
@@ -149,7 +149,7 @@ def _cmd_laps(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # grid geometry wants the exact pair; per-point arithmetic follows --mode
+    # grid geometry wants the exact pair; a lap sweep's per-point arithmetic follows --mode
     bp = _load_pair(args)
     workers = _workers(args)
     records = sweep(
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_branch_args(kneading)
     kneading.add_argument("--p", required=True)
     kneading.add_argument("--n", type=int, default=32)
-    _add_mode_arg(kneading)
     kneading.set_defaults(func=_cmd_kneading)
 
     laps = subs.add_parser("laps", help="lap count, variation and lap entropy at p")

@@ -10,8 +10,9 @@ under the lower map and beta under the upper map; for p strictly inside
 Symbol words are plain '0'/'1' strings, so Python's string order is the
 lexicographic order with 0 < 1.
 
-Periods are reported only when certified: an exact map proves T^k(p) = p,
-while a float map's rounded orbit proves nothing and gets no period.
+Every word comes from one exact integer orbit.  A float map or point is
+read at its exact binary64 value, so its kneading is that of the map the
+floats denote, and a period is reported exactly when T^k(p) = p.
 """
 
 from __future__ import annotations
@@ -64,23 +65,15 @@ def itinerary(m: LorenzMap, x, n: int) -> str:
 
 
 def _walk(m: LorenzMap, x, n: int):
-    """(itinerary(m, x, n), certified period) from one orbit of x.
+    """(itinerary(m, x, n), certified period) from one integer orbit of x.
 
-    An exact map at an exact x walks the integer orbit (``_integer_walk``)
-    and returns the smallest k <= n with T^k(x) = x, or None.  Otherwise
-    ``m.orbit`` walks the n - 1 steps the symbols need, and the period is
-    None: a rounded orbit certifies no period.
+    A float map or x is read at its exact binary64 value; the period is the
+    smallest k <= n with T^k(x) = x, or None.
     """
     x = _coerce(x)
     if not 0 <= x <= 1:
         raise DomainError(f"{x!r} outside [0, 1]")
-    if m.is_exact and isinstance(x, Fraction):
-        return _integer_walk(m, x, n)
-    orbit = m.orbit(x, n - 1)
-    p = m.p
-    if m.side == UPPER:
-        return "".join(["1" if v >= p else "0" for v in orbit]), None
-    return "".join(["0" if v <= p else "1" for v in orbit]), None
+    return _integer_walk(m if m.is_exact else m.to_exact(), Fraction(x), n)
 
 
 def _integer_pieces(spec: BranchSpec):
@@ -129,8 +122,8 @@ def _integer_walk(m: LorenzMap, x: Fraction, n: int):
 def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
     """Kneading prefixes alpha|n (lower map) and beta|n (upper map) at p, for n >= 1.
 
-    An exact map attaches the certified orbit periods up to n; a float map
-    leaves both unset.  Each one-sided orbit of p is walked once.
+    Each one-sided orbit of p is walked once, exactly, and attaches its
+    certified period up to n; a float bp or p is read at its binary64 value.
     """
     if n < 1:
         raise DomainError("kneading prefix length must be >= 1")
@@ -142,16 +135,10 @@ def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
 
 
 def detect_period(bp: BranchPair, p, side: str, n_max: int) -> int | None:
-    """Certified smallest n <= n_max with T^n(p) = p, or None.
-
-    Periods are certified in exact mode only, so a float map raises
-    DomainError; n_max <= 0 gives None.
-    """
+    """Certified smallest n <= n_max with T^n(p) = p, or None; n_max <= 0 gives None."""
     m = LorenzMap(bp, p, side)
     if n_max < 1:
         return None
-    if not m.is_exact:
-        raise DomainError("periods are certified in exact mode only")
     return _walk(m, m.p, n_max)[1]
 
 

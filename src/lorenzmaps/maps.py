@@ -12,8 +12,8 @@ and a map's numbers decide its mode: it is exact iff every defining number
 is a Fraction.  Text and integers are read as Fractions (``parse_scalar``),
 so a float map is made by ``to_float()`` from an exact map that has already
 been validated.  Exact mode, the default everywhere, performs no rounding
-at all, which is what makes orbit periodicity checks and spectral
-certificates trustworthy; float mode is the rounded path.
+at all.  The kneading layer reads a float map at its exact binary64
+values, so float mode rounds only the lap method's arithmetic.
 """
 
 from __future__ import annotations

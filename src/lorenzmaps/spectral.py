@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, LengthMismatch, MissingPeriodicForm, NoRootFound
 from .kneading import KneadingPair, kneading_prefixes
-from .maps import BranchPair, LorenzMap
+from .maps import BranchPair
 
 SPECTRAL = "spectral"
 LAPS = "laps"
@@ -324,8 +324,9 @@ def entropy_spectral(bp: BranchPair, p, n: int = DEFAULT_ORDER, tol: float = DEF
 
     The root bracket is ((1 + c_min)/2, 2], floored just above 1; the error
     bound is the half-width, on the log scale, of the interval on which the
-    truncated series stays within twice its tail bound.  Only an exact map
-    can be certified: a rounded orbit's kneading belongs to no map.
+    truncated series stays within twice its tail bound.  The kneading is
+    exact, of the binary64 values where bp or p is float, so an enclosure
+    strictly inside the bracket certifies the estimate.
     """
     if n < 2:
         raise DomainError("truncation order must be >= 2")
@@ -336,5 +337,4 @@ def entropy_spectral(bp: BranchPair, p, n: int = DEFAULT_ORDER, tol: float = DEF
     root = max_root(xi, lo, hi, tol)
     x_lo, x_hi, inside = _uncertainty_interval(xi, root, lo, hi)
     error_bound = 0.5 * (math.log(x_hi) - math.log(x_lo))
-    certified = inside and LorenzMap(bp, p).is_exact
-    return EntropyEstimate(math.log(root.gamma), root.gamma, SPECTRAL, n, error_bound, certified)
+    return EntropyEstimate(math.log(root.gamma), root.gamma, SPECTRAL, n, error_bound, inside)

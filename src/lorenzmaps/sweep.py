@@ -8,10 +8,10 @@ Endpoints equal to a or b are pulled inside by one grid spacing, since
 the kneading data degenerates exactly at the ends.
 
 Every point is ``estimate``: the upper map of the exact pair at an exact
-p, evaluated exactly by both methods unless mode is "float", which rounds
-that map to binary64.  A record keeps its exact grid point; CSV, JSON and
-numpy see only its binary64 rounding, so a grid whose points share a
-rounding is rejected.
+p.  The spectral method always evaluates it exactly; mode is the lap
+method's arithmetic, where "float" rounds that map to binary64.  A record
+keeps its exact grid point; CSV, JSON and numpy see only its binary64
+rounding, so a grid whose points share a rounding is rejected.
 
 The package binds the name ``lorenzmaps.sweep`` to the ``sweep`` function,
 so ``import lorenzmaps.sweep as S`` yields the function; reach this module
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -100,12 +101,12 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
 
 
 def _mode(method: str, mode: str | None) -> str:
-    # exact for every method unless mode is "float"
+    # mode is the lap method's arithmetic, exact unless "float"; the spectral method is always exact
     if method not in (SPECTRAL, LAPS):
         raise DomainError(f"unknown method {method!r}")
     if mode not in (None, "float", "exact"):
         raise DomainError(f"unknown mode {mode!r}")
-    return mode or "exact"
+    return "exact" if method == SPECTRAL else mode or "exact"
 
 
 def point_map(bp: BranchPair, p, mode: str) -> LorenzMap:
@@ -115,7 +116,7 @@ def point_map(bp: BranchPair, p, mode: str) -> LorenzMap:
 
 
 def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WINDOW, mode=None) -> EntropyEstimate:
-    """The sweep row's estimate at p of the exact pair bp, exact unless mode is "float"; n None takes the method's default."""
+    """The sweep row's estimate at p of the exact pair bp; mode "float" rounds the lap method's map, n None takes the method's default."""
     m = point_map(bp, p, _mode(method, mode))
     if method == SPECTRAL:
         return entropy_spectral(m.branches, m.p, DEFAULT_ORDER if n is None else n, tol)
@@ -132,8 +133,10 @@ def _sweep_point(bp, method, n, tol, window, mode, p) -> SweepRecord:
 
 
 def _run_points(fn, ps, workers) -> list:
-    """[fn(p) for p in ps], in a process pool when workers > 1; order is kept."""
-    if workers is not None and workers > 1:
+    """[fn(p) for p in ps], in a pool of at most one process per point and per usable CPU; order is kept."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers or 1, len(ps), cpus)
+    if workers > 1:
         chunk = max(1, len(ps) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, ps, chunksize=chunk))
@@ -156,8 +159,9 @@ def sweep(
     """Entropy records of the exact pair bp on an equally spaced grid of p values.
 
     Per-point failures are recorded in the record status and never abort
-    the sweep.  ``workers`` > 1 runs points in a process pool; the output
-    order is by p either way.
+    the sweep.  ``workers`` > 1 runs points in a process pool of at most
+    ``workers`` processes, and of no more than the points or the usable
+    CPUs; the output is the same either way.
     """
     mode = _mode(method, mode)
     point_map(bp, bp.a, mode)  # a pair that binary64 cannot hold fails before the grid
@@ -250,8 +254,8 @@ def cross_confirm_features(
     show a same-direction feature overlapping in p whose prominence matches
     within the two methods' combined error bounds.  A lap record is the lap
     sweep's record at the same exact grid point, so the union of all
-    sub-grids is evaluated once, each p a single time, in one pool when
-    ``workers`` > 1.
+    sub-grids is evaluated once, each p a single time, in one pool as in
+    ``sweep``.
     """
     ok, ps, _ = _ok_arrays(records)
     if len(ps) < 3 or not features:

@@ -39,15 +39,13 @@ class TestEntropyCommand:
         assert payload["order"] == 500
         assert payload["certified"] is True
 
-    def test_certified_only_for_the_exact_map(self, capsys):
-        # a rounded orbit's kneading belongs to no map, so --mode float certifies nothing
+    def test_spectral_float_mode_prints_the_exact_row(self, capsys):
+        # --mode is the lap method's arithmetic: the spectral method evaluates the exact map
         argv = ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7"]
-        code, out, _ = run_cli(capsys, *argv, "--mode", "float")
-        assert code == 0
-        assert '"certified": false' in out
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--mode", "float")
+        assert code == 0, err
         assert '"certified": true' in out
+        assert run_cli(capsys, *argv) == (0, out, "")
 
     def test_laps_method(self, capsys):
         code, out, _ = run_cli(
@@ -112,35 +110,16 @@ class TestKneadingCommand:
         assert payload["beta"] == "10101010"
         assert payload["beta_period"] == 2
         assert payload["alpha_period"] is None
-        assert payload["mode"] == "exact"
+        assert list(payload) == ["p", "n", "alpha", "beta", "alpha_period", "beta_period"]
 
-    def test_float_mode(self, capsys):
-        # away from periodic points, float prefixes match the exact ones
-        code, out, _ = run_cli(
-            capsys,
-            "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "0.55", "--n", "10",
-            "--mode", "float",
+    def test_no_mode_option(self, capsys):
+        # every kneading is exact, so the command has no numeric mode to choose
+        code, out, err = run_cli(
+            capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "3/5", "--n", "8", "--mode", "float"
         )
-        assert code == 0
-        payload = json.loads(out)
-        code_e, out_e, _ = run_cli(
-            capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "11/20", "--n", "10"
-        )
-        exact = json.loads(out_e)
-        assert payload["mode"] == "float"
-        assert payload["beta"] == exact["beta"]
-        assert payload["alpha"] == exact["alpha"]
-
-
-    def test_float_mode_prints_no_periods(self, capsys):
-        # float mode keeps its words; a period is certified by exact mode only
-        code, out, _ = run_cli(
-            capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "0.6", "--n", "8", "--mode", "float"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert (payload["alpha"], payload["beta"]) == ("01111011", "10011110")
-        assert payload["alpha_period"] is None and payload["beta_period"] is None
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --mode float" in err
 
 
 class TestLapsCommand:
@@ -524,9 +503,8 @@ class TestInputErrorsBeforeWork:
         [
             ["entropy", "--b0", "1e400", "--b1", "1.5", "--p", "0.5"],
             ["entropy", "--b0", "1.5", "--b1", "1.5", "--p", "1e400"],
-            ["kneading", "--b0", "10/11", "--b1", "1e400", "--p", "1/2", "--mode", "float"],
         ],
-        ids=["slope-past-binary64", "p-past-binary64", "float-kneading-past-binary64"],
+        ids=["slope-past-binary64", "p-past-binary64"],
     )
     def test_number_past_binary64_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -535,11 +513,8 @@ class TestInputErrorsBeforeWork:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_empty_kneading_prefix_exit_2(self, capsys, mode):
-        code, out, err = run_cli(
-            capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "3/5", "--n", "0", "--mode", mode
-        )
+    def test_empty_kneading_prefix_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "3/5", "--n", "0")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and ">= 1" in err
@@ -594,37 +569,68 @@ class TestLargeNumbers:
         assert len(err.encode()) < 300
 
     def test_sweep_rounding_names_exact_mode(self, capsys):
-        # a float sweep says so when the rounding breaks the map; without --mode the exact map is evaluated
+        # a float lap sweep says so when the rounding breaks the map; without --mode the exact map is evaluated
+        laps = ["--method", "laps", "--n", "12", "--window", "4"]
         argv = ["sweep", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p-min", "2e-401", "--p-max", "8e-401",
-                "--points", "3", "--workers", "1"]
+                "--points", "3", "--workers", "1", *laps]
         code, out, err = run_cli(capsys, *argv, "--mode", "float")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
         assert "--mode float" not in err
         # this grid's points all round to the CSV p 0.0, so the exact sweep stops at the grid
-        code, out, err = run_cli(capsys, *argv, "--n", "60")
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: RangeError:") and "share the binary64 p 0.0" in err
         # b0 = 1.5 keeps the map's binary64 breakage, and its grid is distinct in binary64
         wide = ["sweep", "--b0", "1.5", "--b1", _B1_NEAR_1, "--p-min", "0.3", "--p-max", "0.6",
                 "--points", "3", "--workers", "1"]
-        code, out, err = run_cli(capsys, *wide, "--mode", "float")
+        code, out, err = run_cli(capsys, *wide, *laps, "--mode", "float")
         assert code == 2 and "binary64" in err
-        code, out, err = run_cli(capsys, *wide, "--n", "60")
+        code, out, err = run_cli(capsys, *wide, *laps)
         assert code == 0, err
         assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
+        # the spectral method ignores --mode and evaluates the exact map
+        code, out, err = run_cli(capsys, *wide, "--n", "60", "--mode", "float")
+        assert code == 0, err
+        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
+        assert run_cli(capsys, *wide, "--n", "60") == (0, out, "")
 
     def test_float_rounding_names_exact_mode(self, capsys):
         argv = ["entropy", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401"]
-        code, out, err = run_cli(capsys, *argv, "--mode", "float")
+        laps = ["--method", "laps", "--n", "12", "--window", "4"]
+        code, out, err = run_cli(capsys, *argv, *laps, "--mode", "float")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
-        code, out, err = run_cli(capsys, *argv, "--mode", "exact")
+        code, out, err = run_cli(capsys, *argv, *laps, "--mode", "exact")
         assert code == 0, err
         assert json.loads(out)["entropy"] > 0
+        # the default spectral method at its default n evaluates the exact map
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["entropy"] > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["entropy", "--n", "40"], ["kneading", "--n", "8"], ["laps", "--n", "12"]],
+        ids=["entropy", "kneading", "laps"],
+    )
+    def test_p_past_binary64_printed_as_text(self, capsys, argv):
+        # 5e-401 rounds to 0.0, outside [a, b], so the command prints it to 17 digits as a string
+        code, out, err = run_cli(capsys, *argv, "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401")
+        assert code == 0, err
+        assert json.loads(out)["p"] == "5.0000000000000000e-401"
+
+    def test_json_number_only_where_binary64_holds_the_value(self):
+        from lorenzmaps.cli import _json_number
+
+        assert _json_number(Fraction(0)) == 0.0
+        assert _json_number(Fraction(7, 10)) == 0.7
+        assert _json_number(Fraction(2) ** -1022) == 2.0**-1022  # the smallest normal float
+        assert _json_number(Fraction(2) ** -1023) == "1.1125369292536007e-308"  # subnormal
+        assert _json_number(Fraction(10) ** 400) == "1.0000000000000000e+400"
 
 
 class TestStartup:
@@ -673,7 +679,7 @@ def _commands(draw):
         argv.append(f"--n={draw(st.integers(-2, 40))}")
     if grid:
         argv += [f"--points={draw(st.integers(-1, 4))}", "--workers=1"]
-    if command != "compare":
+    if command not in ("kneading", "compare"):
         # an omitted --mode fuzzes each command's default
         mode = draw(st.sampled_from([None, "exact", "float"]))
         if mode:

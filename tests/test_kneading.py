@@ -136,23 +136,22 @@ class TestKneadingPrefixes:
                 kneading_prefixes(pair, p, n)
 
     def test_one_orbit_walk_per_side(self, monkeypatch):
-        # an exact map walks each side once on integers; a float map applies the n - 1 steps its symbols need
+        # exact and float maps alike walk each side once on integers and never apply the map
         walks, applies = [], []
         walk, apply = kneading._integer_walk, LorenzMap.apply
         monkeypatch.setattr(kneading, "_integer_walk", lambda m, x, n: walks.append(m.side) or walk(m, x, n))
         monkeypatch.setattr(LorenzMap, "apply", lambda m, x: applies.append(x) or apply(m, x))
-        kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 8)
-        assert sorted(walks) == [LOWER, UPPER]
-        assert applies == []
-        walks.clear()
-        kp = kneading_prefixes(make_uniform_pair(1.5), 0.6, 8)
-        assert walks == []
-        assert len(applies) == 2 * (8 - 1)
-        assert (kp.alpha_period, kp.beta_period) == (None, None)
+        for bp, p in ((make_uniform_pair(F(3, 2)), F(3, 5)), (make_uniform_pair(1.5), 0.6)):
+            walks.clear()
+            kneading_prefixes(bp, p, 8)
+            assert sorted(walks) == [LOWER, UPPER]
+            assert applies == []
 
-    def test_float_mode_has_no_periods(self):
-        kp = kneading_prefixes(make_uniform_pair(1.5), 0.6, 8)
-        assert kp.beta_period is None
+    def test_float_map_has_the_exact_periods(self):
+        # every number of this pair and p = 3/8 is a binary64 value, so the float map is the exact map
+        kp = kneading_prefixes(PWL_PAIR.to_float(), 0.375, 12)
+        assert kp == kneading_prefixes(PWL_PAIR, F(3, 8), 12)
+        assert (kp.beta, kp.beta_period, kp.alpha_period) == ("101010101010", 2, None)
 
     def test_p_outside(self):
         with pytest.raises(DomainError):
@@ -161,6 +160,12 @@ class TestKneadingPrefixes:
     def test_periodicity_validated(self):
         with pytest.raises(DomainError):
             KneadingPair("0110", "1011", beta_period=2)
+
+
+#: f0 = ((0, 0), (1/2, 1)), f1 = ((1/4, 0), (1/2, 3/8), (1, 1)): beta of p = 3/8 has period 2
+PWL_PAIR = BranchPair(
+    BranchSpec(((0, 0), (F(1, 2), 1))), BranchSpec(((F(1, 4), 0), (F(1, 2), F(3, 8)), (1, 1)))
+)
 
 
 def orbit_walk_oracle(bp, p, n, side):
@@ -207,6 +212,21 @@ class TestIntegerWalk:
         assert (kp.alpha, kp.alpha_period) == orbit_walk_oracle(bp, p, n, LOWER)
         assert (kp.beta, kp.beta_period) == orbit_walk_oracle(bp, p, n, UPPER)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bp=st.one_of(_AFFINE_PAIRS, _two_piece_pairs()).map(BranchPair.to_float),
+        t=st.integers(0, 1000).map(lambda k: F(k, 1000)),
+        n=st.integers(1, 120),
+    )
+    @example(bp=PWL_PAIR.to_float(), t=F(1, 2), n=12)  # p = 3/8, beta has period 2
+    def test_float_map_walks_its_exact_values(self, bp, t, n):
+        p = float(bp.a + t * (bp.b - bp.a))
+        kp = kneading_prefixes(bp, p, n)
+        exact = bp.to_exact()
+        assert (kp.alpha, kp.alpha_period) == orbit_walk_oracle(exact, F(p), n, LOWER)
+        assert (kp.beta, kp.beta_period) == orbit_walk_oracle(exact, F(p), n, UPPER)
+        assert kp.beta == itinerary(LorenzMap(exact, F(p), UPPER), p, n)
+
     def test_x_outside_unit_interval(self):
         m = LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), UPPER)
         for x in (F(-1, 7), F(8, 7)):
@@ -235,11 +255,10 @@ class TestDetectPeriod:
         assert orbit[-1] == F(3, 5)
         assert all(v != F(3, 5) for v in orbit[1:-1])
 
-    def test_float_heuristic(self):
-        # a rounded orbit certifies nothing, so a float map gets no period guess
-        bp = make_uniform_pair(1.5)
-        with pytest.raises(DomainError, match="exact mode only"):
-            detect_period(bp, 0.6, UPPER, 10)
+    def test_float_map_certified(self):
+        # a float map is read at its binary64 values: 0.6 is not 3/5, so its 2-cycle is gone
+        assert detect_period(PWL_PAIR.to_float(), 0.375, UPPER, 10) == 2
+        assert detect_period(make_uniform_pair(1.5), 0.6, UPPER, 10) is None
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_nonpositive_n_max_is_none(self, n_max):

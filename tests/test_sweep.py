@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -85,6 +86,65 @@ class TestSweep:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             sweep(make_uniform_pair(F(3, 2)), F(2, 5), F(3, 5), 3, "transfer-operator")
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The max_workers of every pool opened, with four usable CPUs whatever the machine.
+
+    The stand-in pool starts no process and maps serially.
+    """
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    return opened
+
+
+class TestPoolSize:
+    """A pool opens at most one process per point and per usable CPU."""
+
+    def test_capped_by_points_and_cpus(self, recording_pool):
+        bp = make_uniform_pair(F(3, 2))
+        serial = sweep(bp, F(2, 5), F(3, 5), 3, "spectral", n=40)
+        assert recording_pool == []
+        assert sweep(bp, F(2, 5), F(3, 5), 3, "spectral", n=40, workers=100000) == serial
+        assert sweep(bp, F(2, 5), F(3, 5), 9, "spectral", n=40, workers=100000)[::4] == serial
+        assert sweep(bp, F(2, 5), F(3, 5), 9, "spectral", n=40, workers=2)[::4] == serial
+        assert recording_pool == [3, 4, 2]
+
+    def test_one_usable_cpu_runs_serially(self, recording_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        bp = make_uniform_pair(F(3, 2))
+        sweep(bp, F(2, 5), F(3, 5), 3, "spectral", n=40, workers=8)
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("source", ["option", "environment"])
+    def test_cli_huge_worker_count(self, recording_pool, monkeypatch, capsys, source):
+        from lorenzmaps.cli import main
+
+        argv = ["sweep", "--b0", "1.5", "--b1", "1.5", "--p-min", "2/5", "--p-max", "3/5", "--points", "3",
+                "--n", "40"]
+        if source == "option":
+            argv += ["--workers", "100000"]
+        else:
+            monkeypatch.setenv("LORENZ_WORKERS", "100000")
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert recording_pool == [3]
 
 
 class TestDetectNonmonotonic:

@@ -8,7 +8,9 @@ splits into its two branch images, any other class maps through the one
 branch covering it, and identical images merge by adding multiplicities.
 Every class endpoint lies on a forward orbit of p, 0 or 1, so the number
 of classes grows linearly in n while the multiplicities carry the
-exponential lap growth as exact big integers.
+exponential lap growth as exact big integers.  The same endpoints recur
+across classes and steps, so each branch maps each orbit point once: a
+call makes at most 2n + 4 branch evaluations in all.
 
 ``variation`` is the sum of lap-image lengths, the quantity whose
 exponential growth rate is the entropy.  For a uniform slope-b pair it
@@ -83,14 +85,27 @@ def _merge_close(classes, tol):
     return dict(merged)
 
 
+def _memo(branch):
+    # the branch, mapping each point once; one dict per lap_states call
+    images = {}
+
+    def image(x):
+        y = images.get(x)
+        if y is None:
+            y = images[x] = branch(x)
+        return y
+
+    return image
+
+
 def lap_states(m: LorenzMap, n: int) -> list:
     """LapState after each of the first n steps."""
     if n < 1:
         raise DomainError("need at least one step")
-    f0, f1, p = m.branches.f0, m.branches.f1, m.p
-    exact = m.is_exact
+    f0, f1 = (_memo(branch) for branch in (m.branches.f0, m.branches.f1))
+    p, exact = m.p, m.is_exact
     # images of the two laps of T itself: [0, p) under f0 and [p, 1] under f1
-    zero, one = f0.points[0][1], f1.points[-1][1]
+    zero, one = m.branches.f0.points[0][1], m.branches.f1.points[-1][1]
     classes = {}
     for img in ((zero, f0(p)), (f1(p), one)):
         classes[img] = classes.get(img, 0) + 1
@@ -173,12 +188,17 @@ def _lap_estimate(states, window: int) -> EntropyEstimate:
     # entropy_laps from the states of steps 1..n
     n = len(states)
     _check_window(n, window)
-    lv = [0.0] + [_ln(s.total_variation) for s in states]  # lv[0] is ln Var(T^0) = 0
-    slope = (lv[n] - lv[n - window]) / window
     k = n - window
-    if k - window >= 0:
-        prev = (lv[k] - lv[k - window]) / window
-    else:
-        prev = (lv[k] - lv[0]) / k
+    start = max(k - window, 0)
+    try:
+        # ln Var(T^j) at the three steps read; Var(T^0) = 1
+        lv = {j: _ln(states[j - 1].total_variation) if j else 0.0 for j in (start, k, n)}
+    except ResourceLimit:
+        # name the first step whose variation leaves binary64, not the first one read
+        for state in states:
+            state.total_variation
+        raise
+    slope = (lv[n] - lv[k]) / window
+    prev = (lv[k] - lv[start]) / (k - start)
     error = abs(slope - prev)
     return EntropyEstimate(slope, math.exp(slope), LAPS, n, error, False)

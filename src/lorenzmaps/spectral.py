@@ -15,9 +15,14 @@ The root finder scans the bracket downward from 2 on a grid of step
 (hi - lo)/(64 n), takes the first sign change (the largest root) and
 bisects it; cells above the first grid event whose values are small
 enough to hide a double crossing are first refined together, all of them
-in one batched grid evaluation.  If no crossing exists, a bracketed
-minimisation looks for a tangential root, accepted only when the minimum
-lies within the truncation tail of zero.
+in one batched grid evaluation.  The grid is never evaluated in full to
+find a crossing: the values at every 64th node exclude each range of 64
+cells where a slope bound and Horner's rounding bound leave no event and
+no cell to refine, and the remaining ranges are evaluated node by node at
+the grid's own abscissae, so the search sees the full grid's bits.  If no
+crossing exists, the whole grid is evaluated and a bracketed minimisation
+looks for a tangential root, accepted only when the minimum lies within
+the truncation tail of zero.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ TANGENTIAL = "tangential"
 #: experiment defaults: truncation order and root tolerance
 DEFAULT_ORDER = 500
 DEFAULT_TOL = 1e-7
+#: cells of the root scan's grid per excludable range; the grid has RANGE_CELLS * n cells
+RANGE_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -107,10 +114,10 @@ def xi_coeffs(kp: KneadingPair) -> XiPolynomial:
     return XiPolynomial(coeffs, form)
 
 
-def _horner(word_or_coeffs, t):
+def _horner(coeffs, t):
     acc = 0
-    for c in reversed(word_or_coeffs):
-        acc = acc * t + int(c)
+    for c in reversed(coeffs):
+        acc = acc * t + c
     return acc
 
 
@@ -141,8 +148,8 @@ def xi_eval_periodic(xi: XiPolynomial, x):
         raise MissingPeriodicForm("no periodic form attached to this polynomial")
     x = _check_x(x)
     t = 1 / x
-    beta_part = _horner(form.beta_head, t) / (1 - t**form.period)
-    alpha_part = _horner(form.alpha_prefix, t)
+    beta_part = _horner(tuple(map(int, form.beta_head)), t) / (1 - t**form.period)
+    alpha_part = _horner(tuple(map(int, form.alpha_prefix)), t)
     return beta_part - alpha_part
 
 
@@ -157,13 +164,16 @@ def _eval_grid(coeffs, xs):
 
     Each step rounds acc * t and then acc + c exactly as numpy's polyval
     does, so the values agree with it bit for bit, without a temporary per
-    coefficient.
+    coefficient.  A zero c is not added: acc + 0 is acc, except that it
+    turns -0.0 into +0.0, and acc reaches -0.0 only by underflow, which
+    needs about 1000 steps at t >= 1/2.  Most kneading coefficients are zero.
     """
     t = 1.0 / xs
     acc = np.full_like(t, coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc *= t
-        acc += c
+        if c:
+            acc += c
     return acc
 
 
@@ -189,23 +199,83 @@ def _bisect_root(f, xl, xr, vl, vr, tol, max_iter=200):
     return gamma, abs(f(gamma)), (xl, xr)
 
 
+def _grid_x(lo, hi, num, idx):
+    """np.linspace(hi, lo, num + 1)[idx], computed at the integer indices idx alone.
+
+    linspace rounds i * step and then + hi, and stores lo at i = num; so do we.
+    """
+    xs = idx * ((lo - hi) / num) + hi
+    xs[idx == num] = lo
+    return xs
+
+
+def _gamma(k):
+    # Higham's gamma_k = k u / (1 - k u) for binary64, u = 2^-53
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def _scan(xi, lo, hi, num):
+    """The cells of the descending grid np.linspace(hi, lo, num + 1) that may hold a crossing.
+
+    The grid's cells fall into ranges of RANGE_CELLS; the range nodes are
+    evaluated first, up to the first range whose end values change sign
+    (the first grid event lies at or above its bottom).  A range [x_j, x_i]
+    with values v_i, v_j is excluded when
+
+        |v_i + v_j| > (D (x_i - x_j) + 2 step) / (x_j - 1)^2 + 4 r(x_j),
+
+    with D = max_{k>=1} |d_k|, so that |xi'(x)| <= D / (x - 1)^2, and
+    r(x) = gamma_3n max(D, |d_0|) x/(x - 1), Higham's bound on the rounding of
+    one Horner value (gamma_3n also covers the rounding of t = 1/x).  Then
+    every grid value in the range is nonzero, of the sign of v_i and larger
+    than step / (x_j - 1)^2: no cell of the range is an event, nor small
+    enough for _first_crossing to refine.  The kept ranges are evaluated at
+    every grid node with _eval_grid, so they carry the full grid's bits.
+
+    Returns (xs, vals) of shape (ranges kept, RANGE_CELLS + 1), one range per
+    row in scan order; the top range is always kept, as _first_crossing reads
+    the grid step from its first cell.
+    """
+    nodes = np.arange(0, num + 1, RANGE_CELLS)
+    x = _grid_x(lo, hi, num, nodes)
+    v = _eval_grid(xi.coeffs, x)
+    same = np.sign(v[:-1]) * np.sign(v[1:]) > 0
+    change = np.flatnonzero(~same)
+    ranges = change[0] + 1 if change.size else same.size
+    xt, xb = x[:ranges], x[1 : ranges + 1]
+    d = float(max(map(abs, xi.coeffs[1:]), default=0))
+    step = (hi - lo) / num
+    r = _gamma(3 * xi.order) * max(d, abs(xi.coeffs[0])) * xb / (xb - 1.0)
+    # the factor absorbs the rounding of the bound itself
+    bound = ((d * (xt - xb) + 2.0 * step) / (xb - 1.0) ** 2 + 4.0 * r) * (1.0 + 2.0**-40)
+    keep = ~(same[:ranges] & (np.abs(v[:ranges] + v[1 : ranges + 1]) > bound))
+    keep[0] = True
+    idx = np.flatnonzero(keep)[:, None] * RANGE_CELLS + np.arange(RANGE_CELLS + 1)
+    xs = _grid_x(lo, hi, num, idx)
+    return xs, _eval_grid(xi.coeffs, xs)
+
+
 def _first_crossing(xi, xs, vals, events):
     """Largest-x sign change, checking suspicious cells above the first grid event.
 
-    A cell can hide a double crossing only if the series comes within
-    step * sup|xi'| of zero there; |xi'(x)| <= 1/(x-1)^2 bounds the slope.
-    The suspicious cells are refined as rows of one 65-point sub-grid array,
-    in blocks that bound its memory, and the first row with a sign change
-    gives the bracket.
+    The cells lie along the last axis of xs and vals: a whole grid, or the
+    rows of _scan, whose first row starts at the top of the grid; events
+    index them in scan order.  A cell can hide a double crossing only if the
+    series comes within step * sup|xi'| of zero there; |xi'(x)| <= 1/(x-1)^2
+    bounds the slope.  The suspicious cells are refined as rows of one
+    65-point sub-grid array, in blocks that bound its memory, and the first
+    row with a sign change gives the bracket.
     """
-    first = events[0] if events.size else len(xs) - 1
-    step = xs[0] - xs[1]
-    lip = 1.0 / (xs[1:] - 1.0) ** 2
-    small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= step * lip
+    tops, bottoms = xs[..., :-1].ravel(), xs[..., 1:].ravel()
+    vtops, vbottoms = vals[..., :-1].ravel(), vals[..., 1:].ravel()
+    step = tops[0] - bottoms[0]
+    lip = 1.0 / (bottoms - 1.0) ** 2
+    small = np.minimum(np.abs(vtops), np.abs(vbottoms)) <= step * lip
+    first = events[0] if events.size else small.size
     cells = np.nonzero(small[:first])[0]
     for start in range(0, cells.size, 1024):
         block = cells[start : start + 1024]
-        sub = np.linspace(xs[block], xs[block + 1], 65, axis=1)
+        sub = np.linspace(tops[block], bottoms[block], 65, axis=1)
         sv = _eval_grid(xi.coeffs, sub)
         ss = np.sign(sv)
         change = ss[:, :-1] * ss[:, 1:] <= 0
@@ -216,7 +286,7 @@ def _first_crossing(xi, xs, vals, events):
             return sub[r, k], sv[r, k], sub[r, k + 1], sv[r, k + 1]
     if events.size:
         i = events[0]
-        return xs[i], vals[i], xs[i + 1], vals[i + 1]
+        return tops[i], vtops[i], bottoms[i], vbottoms[i]
     return None
 
 
@@ -235,12 +305,10 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
     def f(x):
         return xi_eval(xi, x)
 
-    num = 64 * max(xi.order, 2)
-    xs = np.linspace(hi, lo, num + 1)  # descending scan
-    vals = _eval_grid(xi.coeffs, xs)
+    num = RANGE_CELLS * max(xi.order, 2)
+    xs, vals = _scan(xi, lo, hi, num)
     sgn = np.sign(vals)
-    events = np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]
-
+    events = np.flatnonzero(sgn[..., :-1] * sgn[..., 1:] <= 0)
     hit = _first_crossing(xi, xs, vals, events)
     if hit is not None:
         x_hi, v_hi, x_lo, v_lo = hit
@@ -249,6 +317,9 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
         gamma, residual, bracket = _bisect_root(f, float(x_lo), float(x_hi), float(v_lo), float(v_hi), tol)
         return RootResult(gamma, residual, bracket, ODD_CROSSING)
 
+    # no crossing anywhere: the tangential search reads the whole descending grid
+    xs = np.linspace(hi, lo, num + 1)
+    vals = _eval_grid(xi.coeffs, xs)
     if np.all(vals < 0.0):
         raise NoRootFound("series is negative throughout the bracket")
 

@@ -4,10 +4,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lorenzmaps.laps as laps
 from lorenzmaps import (
     LOWER,
     UPPER,
+    BranchPair,
+    BranchSpec,
     DomainError,
     LapState,
     LorenzMap,
@@ -19,6 +23,7 @@ from lorenzmaps import (
     make_affine_pair,
     make_uniform_pair,
 )
+from lorenzmaps.spectral import EntropyEstimate
 
 F = Fraction
 
@@ -87,6 +92,12 @@ class TestLapCount:
         with pytest.raises(ResourceLimit, match="--mode exact"):
             LapState(1100, (((0.0, 0.5), big),)).total_variation
         assert LapState(1100, (((F(0), F(1, 2)), big),)).total_variation == F(big, 2)
+
+    def test_float_overflow_names_the_first_step_past_binary64(self):
+        # the estimate reads steps 10, 20 and 30; the variation leaves binary64 at step 5
+        states = [LapState(k, (((0.0, 0.5), 2**1100 if k >= 5 else 1),)) for k in range(1, 31)]
+        with pytest.raises(ResourceLimit, match="at step 5 "):
+            laps._lap_estimate(states, 10)
 
 
 class TestBruteforce:
@@ -178,3 +189,92 @@ class TestEntropyLaps:
         exact = entropy_laps(LorenzMap(bp, F(7, 10), UPPER), 30, 10)
         fl = entropy_laps(LorenzMap(bp.to_float(), 0.7, UPPER), 30, 10)
         assert abs(exact.entropy - fl.entropy) < 1e-9
+
+
+def _lap_states_reference(m, n):
+    # reference: the propagation loop as it mapped every class endpoint afresh
+    f0, f1, p = m.branches.f0, m.branches.f1, m.p
+    classes = {}
+    for img in ((f0.points[0][1], f0(p)), (f1(p), f1.points[-1][1])):
+        classes[img] = classes.get(img, 0) + 1
+    out = [LapState(1, tuple(sorted(classes.items())))]
+    for step in range(2, n + 1):
+        new = {}
+        for (lo, hi), mult in classes.items():
+            halves = ((lo, p), (p, hi)) if lo < p < hi else ((lo, hi),)
+            for left, right in halves:
+                img = (f0(left), f0(right)) if right <= p else (f1(left), f1(right))
+                new[img] = new.get(img, 0) + mult
+        if not m.is_exact:
+            new = laps._merge_close(new, laps.FLOAT_MERGE_TOL)
+        classes = new
+        out.append(LapState(step, tuple(sorted(classes.items()))))
+    return out
+
+
+def _lap_estimate_reference(states, window):
+    # reference: the windowed slope read from ln Var(T^k) at every step k
+    n = len(states)
+    lv = [0.0] + [laps._ln(s.total_variation) for s in states]
+    slope = (lv[n] - lv[n - window]) / window
+    k = n - window
+    prev = (lv[k] - lv[k - window]) / window if k - window >= 0 else (lv[k] - lv[0]) / k
+    return EntropyEstimate(slope, math.exp(slope), "laps", n, abs(slope - prev), False)
+
+
+_slope = st.integers(105, 195).map(lambda k: F(k, 100))
+
+
+@st.composite
+def _random_pair(draw):
+    """An affine pair, or (also when the slopes admit no p) two-piece branches drawn as
+    the laps_exact benchmark draws them."""
+    if draw(st.booleans()):
+        b0, b1 = draw(_slope), draw(_slope)
+        if b0 + b1 > b0 * b1:
+            return make_affine_pair(b0, b1)
+    s0, s1, t0, t1 = (draw(_slope) for _ in range(4))
+    y0, y1 = (draw(st.integers(20, 80).map(lambda k: F(k, 100))) for _ in range(2))
+    x0 = y0 / s0
+    b = x0 + (1 - y0) / s1
+    a = 1 - (y1 / t0 + (1 - y1) / t1)
+    return BranchPair(BranchSpec(((0, 0), (x0, y0), (b, 1))), BranchSpec(((a, 0), (a + y1 / t0, y1), (1, 1))))
+
+
+@st.composite
+def _random_map(draw):
+    bp = draw(_random_pair())
+    m = LorenzMap(bp, bp.a + F(draw(st.integers(1, 9999)), 10000) * (bp.b - bp.a), UPPER)
+    return m.to_float() if draw(st.booleans()) else m
+
+
+class TestMappedOnce:
+    """Each orbit point is mapped once per branch, with the states and estimates of the unmemoised loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_map(), st.integers(2, 40), st.integers(1, 12))
+    def test_matches_unmemoised_propagation(self, m, n, window):
+        want = _lap_states_reference(m, n)
+        assert lap_states(m, n) == want
+        if n > window:
+            assert entropy_laps(m, n, window) == _lap_estimate_reference(want, window)
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch, float_mode):
+        calls = {}
+        call = BranchSpec.__call__
+
+        def counted(branch, x):
+            calls[id(branch)] = calls.get(id(branch), 0) + 1
+            return call(branch, x)
+
+        monkeypatch.setattr(BranchSpec, "__call__", counted)
+        rng = random.Random(83)
+        n = 50
+        for _ in range(4):
+            m = random_affine_map(rng)
+            m = m.to_float() if float_mode else m
+            calls.clear()
+            lap_states(m, n)
+            assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
+            assert sum(calls.values()) <= 2 * n + 4

@@ -261,13 +261,16 @@ def _eval_grid_reference(coeffs, xs):
 
 
 def _first_crossing_reference(xi, xs, vals, events):
-    # reference: one 65-point refinement per suspicious cell, in scan order
-    first = events[0] if events.size else len(xs) - 1
-    step = xs[0] - xs[1]
-    lip = 1.0 / (xs[1:] - 1.0) ** 2
-    small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= step * lip
+    # reference: one 65-point refinement per suspicious cell, in scan order; the cells
+    # lie along the last axis, of a whole grid or of the rows of spectral._scan
+    tops, bottoms = xs[..., :-1].ravel(), xs[..., 1:].ravel()
+    vtops, vbottoms = vals[..., :-1].ravel(), vals[..., 1:].ravel()
+    first = events[0] if events.size else tops.size
+    step = tops[0] - bottoms[0]
+    lip = 1.0 / (bottoms - 1.0) ** 2
+    small = np.minimum(np.abs(vtops), np.abs(vbottoms)) <= step * lip
     for j in np.nonzero(small[:first])[0]:
-        sub = np.linspace(xs[j], xs[j + 1], 65)
+        sub = np.linspace(tops[j], bottoms[j], 65)
         sv = _eval_grid_reference(xi.coeffs, sub)
         ss = np.sign(sv)
         ev = np.nonzero(ss[:-1] * ss[1:] <= 0)[0]
@@ -276,14 +279,16 @@ def _first_crossing_reference(xi, xs, vals, events):
             return sub[k], sv[k], sub[k + 1], sv[k + 1]
     if events.size:
         i = events[0]
-        return xs[i], vals[i], xs[i + 1], vals[i + 1]
+        return tops[i], vtops[i], bottoms[i], vbottoms[i]
     return None
 
 
 class _FloatSeries:
-    # stands in for XiPolynomial: the kernels read only .coeffs, and these may be any floats
+    # stands in for XiPolynomial: the kernels read only .coeffs and .order, and the
+    # coefficients may be any floats
     def __init__(self, coeffs):
         self.coeffs = tuple(float(c) for c in coeffs)
+        self.order = len(self.coeffs)
 
 
 def _scan(xi, xs):
@@ -365,3 +370,126 @@ class TestGridKernels:
         monkeypatch.setattr(spectral, "_eval_grid", _eval_grid_reference)
         monkeypatch.setattr(spectral, "_first_crossing", _first_crossing_reference)
         assert csv_text(sweep(bp, F(9, 19), F(10, 11), 40, "spectral")) == new
+
+
+def _max_root_full_grid(xi, lo, hi, tol):
+    # reference: max_root as it scanned every point of linspace(hi, lo, 64 n + 1)
+    lo, hi = float(lo), float(hi)
+
+    def f(x):
+        return xi_eval(xi, x)
+
+    num = 64 * max(xi.order, 2)
+    xs = np.linspace(hi, lo, num + 1)
+    vals, events = _scan(xi, xs)
+    hit = _first_crossing_reference(xi, xs, vals, events)
+    if hit is not None:
+        x_hi, v_hi, x_lo, v_lo = hit
+        if v_hi == 0.0:
+            return spectral.RootResult(float(x_hi), 0.0, (float(x_hi), float(x_hi)), ODD_CROSSING)
+        gamma, residual, bracket = spectral._bisect_root(f, float(x_lo), float(x_hi), float(v_lo), float(v_hi), tol)
+        return spectral.RootResult(gamma, residual, bracket, ODD_CROSSING)
+    if np.all(vals < 0.0):
+        raise NoRootFound("series is negative throughout the bracket")
+    from scipy.optimize import minimize_scalar
+
+    j = int(np.argmin(vals))
+    left = float(xs[min(j + 1, len(xs) - 1)])
+    right = float(xs[max(j - 1, 0)])
+    res = minimize_scalar(f, bounds=(left, right), method="bounded", options={"xatol": tol * 0.25})
+    xm, fm = float(res.x), float(res.fun)
+    if fm < 0.0:
+        gamma, residual, bracket = spectral._bisect_root(f, xm, right, fm, f(right), tol)
+        return spectral.RootResult(gamma, residual, bracket, ODD_CROSSING)
+    neighbours = [float(vals[k]) for k in (j - 1, j + 1) if 0 <= k < len(vals)]
+    if all(fm < v for v in neighbours) and fm <= tail_bound(xm, xi.order):
+        return spectral.RootResult(xm, fm, (xm - tol / 2, xm + tol / 2), TANGENTIAL)
+    raise NoRootFound("no sign change, and no dip within the truncation tail of zero")
+
+
+def _root_bits(xi, lo, hi, tol, find):
+    try:
+        r = find(xi, lo, hi, tol)
+    except NoRootFound:
+        return "NoRootFound"
+    return (r.gamma.hex(), r.residual.hex(), tuple(b.hex() for b in r.bracket), r.multiplicity_hint)
+
+
+def _assert_scan_matches_full_grid(xi, lo, hi=2.0, tol=1e-7):
+    """The scan keeps every cell the full grid refines or takes as its first event, with the
+    grid's bits, and max_root returns the full-grid root bit for bit."""
+    num = 64 * max(xi.order, 2)
+    xs = np.linspace(hi, lo, num + 1)
+    vals, events = _scan(xi, xs)
+    first = events[0] if events.size else num
+    step = xs[0] - xs[1]
+    small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= step / (xs[1:] - 1.0) ** 2
+    needed = set(np.nonzero(small[:first])[0]) | set(events[:1])
+    rows_x, rows_v = spectral._scan(xi, lo, hi, num)
+    kept = np.round((hi - rows_x[:, :-1].ravel()) / (hi - lo) * num).astype(int)
+    assert needed <= set(kept)
+    assert rows_x.shape[1] == spectral.RANGE_CELLS + 1 and rows_x[0, 0] == hi
+    at = np.round((hi - rows_x) / (hi - lo) * num).astype(int)
+    assert np.array_equal(rows_x.view(np.int64), xs[at].view(np.int64))
+    assert np.array_equal(rows_v.view(np.int64), vals[at].view(np.int64))
+    assert _root_bits(xi, lo, hi, tol, max_root) == _root_bits(xi, lo, hi, tol, _max_root_full_grid)
+    return rows_x.shape[0] * (spectral.RANGE_CELLS + 1)
+
+
+def _paper_like_series(b0, b1, count, n=500):
+    bp = make_affine_pair(b0, b1)
+    lo = (1.0 + float(bp.c_min)) / 2.0
+    return [(xi_coeffs(kneading_prefixes(bp, bp.a + F(k, count + 1) * (bp.b - bp.a), n)), lo)
+            for k in range(1, count + 1)]
+
+
+class TestExclusionScan:
+    """The exclusion scan against the full 64n-point grid it replaces."""
+
+    # the brackets' floors (1 + c_min)/2 of the paper pair and of the (1.05, 1.9) pair
+    @pytest.mark.parametrize("lo", [(1.0 + 1.1) / 2.0, (1.0 + 1.05) / 2.0])
+    @pytest.mark.parametrize("n", [2, 500, 4000])
+    def test_abscissae_by_index_are_linspace_bits(self, n, lo):
+        num = 64 * n
+        want = np.linspace(2.0, lo, num + 1)
+        got = spectral._grid_x(lo, 2.0, num, np.arange(num + 1))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("lo", [1.2, 1.05])
+    @pytest.mark.parametrize(
+        "pairs, scale",
+        [([(1.7032, 1.7058), (1.6032, 1.6058)], 1e9), ([(1.70321, 1.70329)], 100.0), ([], 1.0)],
+    )
+    def test_hidden_pair_series(self, pairs, scale, lo):
+        _assert_scan_matches_full_grid(_hidden_pair_series(pairs, scale), lo)
+
+    @pytest.mark.parametrize("lo", [1.05, 1.3])
+    @pytest.mark.parametrize("r", [1, 77, 200, 431])
+    def test_slope_at_the_bound(self, r, lo):
+        # a - sum_{k>=1} x^-k falls at the full slope bound 1/(x-1)^2; its root lies 0.4 cells
+        # below the bottom node of a range, so that range ends in a cell the search refines
+        n = 500
+        xs = np.linspace(2.0, lo, 64 * n + 1)
+        root = xs[64 * r] - 0.4 * (xs[0] - xs[1])
+        xi = _FloatSeries((1.0 / (root - 1.0),) + (-1.0,) * (n - 1))
+        vals, events = _scan(xi, xs)
+        assert events[0] == 64 * r and _suspicious_cells(xs, vals, events)[-1] == 64 * r - 1
+        _assert_scan_matches_full_grid(xi, lo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=400),
+        st.sampled_from([1.025, 1.05, 1.3, 1.9]),
+    )
+    def test_random_series(self, coeffs, lo):
+        _assert_scan_matches_full_grid(XiPolynomial(tuple(coeffs)), lo)
+
+    def test_tangential_falls_back_to_the_full_grid(self):
+        xi = XiPolynomial((1, -1, -1, 1))
+        _assert_scan_matches_full_grid(xi, 1.05, tol=1e-8)
+        assert max_root(xi, 1.05, 2.0, 1e-8).multiplicity_hint == TANGENTIAL
+
+    @pytest.mark.parametrize("b0, b1", [(F(11, 10), F(19, 10)), (F(105, 100), F(19, 10))])
+    def test_kneading_series(self, b0, b1):
+        evaluated = [_assert_scan_matches_full_grid(xi, lo) for xi, lo in _paper_like_series(b0, b1, 40)]
+        assert max(evaluated) < 64 * 500 // 10

@@ -3,11 +3,9 @@
 Subcommands: entropy, kneading, laps, sweep, compare.  Single-point
 commands print JSON to stdout; sweep writes CSV (or JSON) to --out or
 stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
-read exactly, and every command evaluates the validated exact map unless
---mode float rounds it to binary64 for the lap method.  entropy runs the
-sweep's point function, so it prints the sweep row's estimate at p; p
-itself is printed as text where binary64 cannot hold it.  Kneading words,
-their periods and spectral certificates always come from the exact map.
+read exactly, and every command evaluates the validated exact map.
+entropy runs the sweep's point function, so it prints the sweep row's
+estimate at p; p itself is printed as text where binary64 cannot hold it.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -25,14 +23,13 @@ from dataclasses import asdict
 from .errors import InvalidBranch, LorenzError, NoRootFound, ResourceLimit
 from .kneading import kneading_prefixes
 from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, _lap_estimate, lap_states
-from .maps import BranchPair, fmt_number, make_affine_pair, parse_scalar
+from .maps import UPPER, BranchPair, LorenzMap, fmt_number, make_affine_pair, parse_scalar
 from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL
 from .sweep import (
     compare_methods,
     cross_confirm_features,
     detect_nonmonotonic,
     estimate,
-    point_map,
     record_row,
     sweep,
     write_csv,
@@ -43,15 +40,6 @@ def _add_branch_args(sub):
     sub.add_argument("--b0", help="slope of the left affine branch")
     sub.add_argument("--b1", help="slope of the right affine branch")
     sub.add_argument("--branches", help="JSON file with f0/f1 branch specs")
-
-
-def _add_mode_arg(sub):
-    sub.add_argument(
-        "--mode",
-        choices=("exact", "float"),
-        default="exact",
-        help="lap method arithmetic: exact, or float to round the map to binary64 (default: exact)",
-    )
 
 
 def _load_pair(args) -> BranchPair:
@@ -116,7 +104,7 @@ def _workers(args) -> int | None:
 
 def _cmd_entropy(args) -> int:
     p = parse_scalar(args.p)
-    est = estimate(_load_pair(args), p, args.method, n=args.n, tol=args.tol, window=args.window, mode=args.mode)
+    est = estimate(_load_pair(args), p, args.method, n=args.n, tol=args.tol, window=args.window)
     _emit({**record_row(p, est), "p": _json_number(p)})
     return 0
 
@@ -128,7 +116,7 @@ def _cmd_kneading(args) -> int:
 
 
 def _cmd_laps(args) -> int:
-    m = point_map(_load_pair(args), parse_scalar(args.p), args.mode)
+    m = LorenzMap(_load_pair(args), parse_scalar(args.p), UPPER)
     _check_window(args.n, args.window)
     states = lap_states(m, args.n)
     est = _lap_estimate(states, args.window)
@@ -149,7 +137,6 @@ def _cmd_laps(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # grid geometry wants the exact pair; a lap sweep's per-point arithmetic follows --mode
     bp = _load_pair(args)
     workers = _workers(args)
     records = sweep(
@@ -161,7 +148,6 @@ def _cmd_sweep(args) -> int:
         n=args.n,
         tol=args.tol,
         window=args.window,
-        mode=args.mode,
         workers=workers,
     )
     if args.format == "json":
@@ -219,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("--n", type=int, default=None)
     entropy.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
     entropy.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    _add_mode_arg(entropy)
     entropy.set_defaults(func=_cmd_entropy)
 
     kneading = subs.add_parser("kneading", help="kneading prefixes and periods at p")
@@ -233,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     laps.add_argument("--p", required=True)
     laps.add_argument("--n", type=int, default=DEFAULT_ITERATES)
     laps.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    _add_mode_arg(laps)
     laps.set_defaults(func=_cmd_laps)
 
     swp = subs.add_parser("sweep", help="entropy curve over a p range")
@@ -245,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=int, default=None)
     swp.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
     swp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    _add_mode_arg(swp)
     swp.add_argument("--out", help="CSV/JSON output path (default: stdout)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--workers", type=_above(int, 0), default=None)

@@ -12,9 +12,10 @@ exponential lap growth as exact big integers.  The same endpoints recur
 across classes and steps, so each branch maps each orbit point once: a
 call makes at most 2n + 4 branch evaluations in all.
 
-``variation`` is the sum of lap-image lengths, the quantity whose
-exponential growth rate is the entropy.  For a uniform slope-b pair it
-equals b^n exactly, which exact mode reproduces to the last digit.
+The arithmetic is exact: a float map is read at its binary64 values, so
+classes merge only when their images are equal.  ``variation`` is the
+sum of lap-image lengths, the quantity whose exponential growth rate is
+the entropy; for a uniform slope-b pair it equals b^n to the last digit.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ import numpy as np
 from .errors import DomainError, ResourceLimit
 from .maps import UPPER, LorenzMap
 from .spectral import LAPS, EntropyEstimate
-
-#: float-mode classes merge when both endpoints agree to this tolerance
-FLOAT_MERGE_TOL = 1e-12
 
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
@@ -51,38 +49,17 @@ class LapState:
 
     @property
     def total_variation(self):
-        try:
-            return sum(mult * (hi - lo) for (lo, hi), mult in self.classes)
-        except OverflowError as exc:
-            # a float-mode multiplicity past binary64's range; exact mode sums Fractions
-            raise ResourceLimit(
-                f"lap variation at step {self.step} overflows binary64 in float mode; "
-                "use --mode exact"
-            ) from exc
+        return sum(mult * (hi - lo) for (lo, hi), mult in self.classes)
 
 
-def _advance(classes, f0, f1, p, exact):
+def _advance(classes, f0, f1, p):
     new = {}
     for (lo, hi), mult in classes.items():
         halves = ((lo, p), (p, hi)) if lo < p < hi else ((lo, hi),)
         for left, right in halves:
             img = (f0(left), f0(right)) if right <= p else (f1(left), f1(right))
             new[img] = new.get(img, 0) + mult
-    if not exact:
-        new = _merge_close(new, FLOAT_MERGE_TOL)
     return new
-
-
-def _merge_close(classes, tol):
-    merged = []
-    for key, mult in sorted(classes.items()):
-        if merged:
-            (plo, phi), pmult = merged[-1]
-            if abs(key[0] - plo) <= tol and abs(key[1] - phi) <= tol:
-                merged[-1] = ((plo, phi), pmult + mult)
-                continue
-        merged.append((key, mult))
-    return dict(merged)
 
 
 def _memo(branch):
@@ -99,11 +76,12 @@ def _memo(branch):
 
 
 def lap_states(m: LorenzMap, n: int) -> list:
-    """LapState after each of the first n steps."""
+    """LapState after each of the first n steps; a float map is read at its exact binary64 values."""
     if n < 1:
         raise DomainError("need at least one step")
+    m = m if m.is_exact else m.to_exact()
     f0, f1 = (_memo(branch) for branch in (m.branches.f0, m.branches.f1))
-    p, exact = m.p, m.is_exact
+    p = m.p
     # images of the two laps of T itself: [0, p) under f0 and [p, 1] under f1
     zero, one = m.branches.f0.points[0][1], m.branches.f1.points[-1][1]
     classes = {}
@@ -112,7 +90,7 @@ def lap_states(m: LorenzMap, n: int) -> list:
     out = []
     for step in range(1, n + 1):
         if step > 1:
-            classes = _advance(classes, f0, f1, p, exact)
+            classes = _advance(classes, f0, f1, p)
         if len(classes) > MAX_CLASSES:
             raise ResourceLimit(f"{len(classes)} interval classes at step {step} exceed the cap {MAX_CLASSES}")
         out.append(LapState(step, tuple(sorted(classes.items()))))
@@ -156,11 +134,9 @@ def lap_count_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> int:
     return boundaries + 1
 
 
-def _ln(value) -> float:
-    # big-integer-safe logarithm for exact variations
-    if isinstance(value, Fraction):
-        return math.log(value.numerator) - math.log(value.denominator)
-    return math.log(value)
+def _ln(value: Fraction) -> float:
+    # big-integer-safe logarithm of a variation
+    return math.log(value.numerator) - math.log(value.denominator)
 
 
 def entropy_laps(
@@ -190,14 +166,8 @@ def _lap_estimate(states, window: int) -> EntropyEstimate:
     _check_window(n, window)
     k = n - window
     start = max(k - window, 0)
-    try:
-        # ln Var(T^j) at the three steps read; Var(T^0) = 1
-        lv = {j: _ln(states[j - 1].total_variation) if j else 0.0 for j in (start, k, n)}
-    except ResourceLimit:
-        # name the first step whose variation leaves binary64, not the first one read
-        for state in states:
-            state.total_variation
-        raise
+    # ln Var(T^j) at the three steps read; Var(T^0) = 1
+    lv = {j: _ln(states[j - 1].total_variation) if j else 0.0 for j in (start, k, n)}
     slope = (lv[n] - lv[k]) / window
     prev = (lv[k] - lv[start]) / (k - start)
     error = abs(slope - prev)

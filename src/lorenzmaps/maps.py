@@ -7,13 +7,12 @@ map applies f1 at x = p, the *lower* map applies f0 there; everywhere else
 the two agree.  Every linear piece of a branch must have slope > 1, so the
 map expands and the inverse branches contract.
 
-Numbers are either ``fractions.Fraction`` (exact mode) or binary64 floats,
-and a map's numbers decide its mode: it is exact iff every defining number
-is a Fraction.  Text and integers are read as Fractions (``parse_scalar``),
-so a float map is made by ``to_float()`` from an exact map that has already
-been validated.  Exact mode, the default everywhere, performs no rounding
-at all.  The kneading layer reads a float map at its exact binary64
-values, so float mode rounds only the lap method's arithmetic.
+Numbers are either ``fractions.Fraction`` or binary64 floats, and a map is
+exact iff every defining number is a Fraction.  Text and integers are read
+as Fractions (``parse_scalar``), so a float map is made by ``to_float()``
+from an exact map that has already been validated.  The kneading walk and
+the lap propagation read a float map at its exact binary64 values, so no
+orbit point or lap image is ever rounded.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def parse_scalar(text) -> Fraction:
 
 
 def _coerce(value) -> Scalar:
-    # ints become Fractions so that integer inputs never force float mode
+    # ints become Fractions so that integer inputs keep a map exact
     if isinstance(value, bool):
         raise InvalidBranch(f"not a number: {value!r}")
     if isinstance(value, int):
@@ -336,7 +335,7 @@ class LorenzMap:
         try:
             return LorenzMap(self.branches.to_float(), float(self.p), self.side)
         except LorenzError as exc:
-            raise type(exc)(f"binary64 rounding for float mode breaks this map ({exc}); use --mode exact") from exc
+            raise type(exc)(f"binary64 rounding breaks this map ({exc})") from exc
 
     def to_exact(self) -> "LorenzMap":
         return LorenzMap(self.branches.to_exact(), Fraction(self.p), self.side)

@@ -6,10 +6,11 @@ For kneading sequences alpha and beta the series
 
 converges for x > 1, and exp(entropy) is its largest root in (1, 2].  We
 work with the degree-(n-1) truncation; since every coefficient lies in
-{-1, 0, 1} the dropped tail is bounded by x^{-n}/(1 - x^{-1}), which is
-what turns a numerical root into a certified enclosure.  When beta is
-periodic with period N, its half of the series also has the closed
-geometric form (sum_{k<N} beta_k x^{-k}) / (1 - x^{-N}).
+{-1, 0, 1} the dropped tail is bounded by x^{-n}/(1 - x^{-1}), which with
+Higham's bound on Horner's rounding turns a numerical root into a
+certified enclosure.  When beta is periodic with period N, its half of
+the series also has the closed geometric form
+(sum_{k<N} beta_k x^{-k}) / (1 - x^{-N}).
 
 The root finder scans the bracket downward from 2 on a grid of step
 (hi - lo)/(64 n), takes the first sign change (the largest root) and
@@ -214,6 +215,14 @@ def _gamma(k):
     return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
+def _horner_error(xi, x):
+    """gamma_3n max|d_k| x/(x - 1): Higham's bound on the rounding of one Horner value at x.
+
+    gamma_3n also covers the rounding of t = 1/x; x may be an array.
+    """
+    return _gamma(3 * xi.order) * max(map(abs, xi.coeffs)) * x / (x - 1.0)
+
+
 def _scan(xi, lo, hi, num):
     """The cells of the descending grid np.linspace(hi, lo, num + 1) that may hold a crossing.
 
@@ -225,8 +234,7 @@ def _scan(xi, lo, hi, num):
         |v_i + v_j| > (D (x_i - x_j) + 2 step) / (x_j - 1)^2 + 4 r(x_j),
 
     with D = max_{k>=1} |d_k|, so that |xi'(x)| <= D / (x - 1)^2, and
-    r(x) = gamma_3n max(D, |d_0|) x/(x - 1), Higham's bound on the rounding of
-    one Horner value (gamma_3n also covers the rounding of t = 1/x).  Then
+    r = _horner_error, Higham's bound on the rounding of one Horner value.  Then
     every grid value in the range is nonzero, of the sign of v_i and larger
     than step / (x_j - 1)^2: no cell of the range is an event, nor small
     enough for _first_crossing to refine.  The kept ranges are evaluated at
@@ -245,7 +253,7 @@ def _scan(xi, lo, hi, num):
     xt, xb = x[:ranges], x[1 : ranges + 1]
     d = float(max(map(abs, xi.coeffs[1:]), default=0))
     step = (hi - lo) / num
-    r = _gamma(3 * xi.order) * max(d, abs(xi.coeffs[0])) * xb / (xb - 1.0)
+    r = _horner_error(xi, xb)
     # the factor absorbs the rounding of the bound itself
     bound = ((d * (xt - xb) + 2.0 * step) / (xb - 1.0) ** 2 + 4.0 * r) * (1.0 + 2.0**-40)
     keep = ~(same[:ranges] & (np.abs(v[:ranges] + v[1 : ranges + 1]) > bound))
@@ -372,16 +380,18 @@ def _grow(g, start, direction, limit):
 
 
 def _uncertainty_interval(xi, root, lo, hi):
-    """Maximal interval around the root where |xi_n| stays within twice the tail bound.
+    """Maximal interval around the root where |xi_n| stays within twice the tail bound plus its rounding.
 
-    The infinite series' root must lie where the truncation is tail-small, so
-    this interval (united with the bisection bracket) encloses it; it lying
-    strictly inside the search bracket is what certifies the estimate.
+    The infinite series' root must lie where the exact truncation is
+    tail-small, and the computed value is within _horner_error of the exact
+    one, so this interval (united with the bisection bracket) encloses it;
+    it lying strictly inside the search bracket is what certifies the
+    estimate.
     """
     n = xi.order
 
     def g(x):
-        return abs(xi_eval(xi, x)) - 2.0 * tail_bound(x, n)
+        return abs(xi_eval(xi, x)) - 2.0 * tail_bound(x, n) - _horner_error(xi, x)
 
     bl = max(min(root.bracket), lo)
     bh = min(max(root.bracket), hi)
@@ -403,7 +413,7 @@ def entropy_spectral(bp: BranchPair, p, n: int = DEFAULT_ORDER, tol: float = DEF
         raise DomainError("truncation order must be >= 2")
     kp = kneading_prefixes(bp, p, n)
     xi = xi_coeffs(kp)
-    lo = max((1.0 + float(bp.c_min)) / 2.0, 1.0 + tol)
+    lo = max((1.0 + float(bp.c_min)) / 2.0, math.nextafter(1.0, 2.0))
     hi = 2.0
     root = max_root(xi, lo, hi, tol)
     x_lo, x_hi, inside = _uncertainty_interval(xi, root, lo, hi)

@@ -7,11 +7,10 @@ record, and repeated runs are bit-identical regardless of worker count.
 Endpoints equal to a or b are pulled inside by one grid spacing, since
 the kneading data degenerates exactly at the ends.
 
-Every point is ``estimate``: the upper map of the exact pair at an exact
-p.  The spectral method always evaluates it exactly; mode is the lap
-method's arithmetic, where "float" rounds that map to binary64.  A record
-keeps its exact grid point; CSV, JSON and numpy see only its binary64
-rounding, so a grid whose points share a rounding is rejected.
+Every point is ``estimate``: either method on the upper map of the exact
+pair at an exact p.  A record keeps its exact grid point; CSV, JSON and
+numpy see only its binary64 rounding, so a grid whose points share a
+rounding is rejected.
 
 The package binds the name ``lorenzmaps.sweep`` to the ``sweep`` function,
 so ``import lorenzmaps.sweep as S`` yields the function; reach this module
@@ -100,32 +99,19 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     return grid
 
 
-def _mode(method: str, mode: str | None) -> str:
-    # mode is the lap method's arithmetic, exact unless "float"; the spectral method is always exact
+def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WINDOW) -> EntropyEstimate:
+    """The sweep row's estimate at p: method on the upper map of the exact pair bp; n None takes the method's default."""
     if method not in (SPECTRAL, LAPS):
         raise DomainError(f"unknown method {method!r}")
-    if mode not in (None, "float", "exact"):
-        raise DomainError(f"unknown mode {mode!r}")
-    return "exact" if method == SPECTRAL else mode or "exact"
-
-
-def point_map(bp: BranchPair, p, mode: str) -> LorenzMap:
-    """The upper map of the exact pair bp at p, rounded to binary64 in float mode."""
     m = LorenzMap(bp, p, UPPER)
-    return m.to_float() if mode == "float" else m
-
-
-def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WINDOW, mode=None) -> EntropyEstimate:
-    """The sweep row's estimate at p of the exact pair bp; mode "float" rounds the lap method's map, n None takes the method's default."""
-    m = point_map(bp, p, _mode(method, mode))
     if method == SPECTRAL:
         return entropy_spectral(m.branches, m.p, DEFAULT_ORDER if n is None else n, tol)
     return entropy_laps(m, DEFAULT_ITERATES if n is None else n, window)
 
 
-def _sweep_point(bp, method, n, tol, window, mode, p) -> SweepRecord:
+def _sweep_point(bp, method, n, tol, window, p) -> SweepRecord:
     try:
-        return SweepRecord(p, estimate(bp, p, method, n=n, tol=tol, window=window, mode=mode), STATUS_OK)
+        return SweepRecord(p, estimate(bp, p, method, n=n, tol=tol, window=window), STATUS_OK)
     except NoRootFound:
         return SweepRecord(p, None, STATUS_NO_ROOT)
     except ResourceLimit:
@@ -153,7 +139,6 @@ def sweep(
     n: int | None = None,
     tol: float = DEFAULT_TOL,
     window: int = DEFAULT_WINDOW,
-    mode: str | None = None,
     workers: int | None = None,
 ) -> list:
     """Entropy records of the exact pair bp on an equally spaced grid of p values.
@@ -163,9 +148,7 @@ def sweep(
     ``workers`` processes, and of no more than the points or the usable
     CPUs; the output is the same either way.
     """
-    mode = _mode(method, mode)
-    point_map(bp, bp.a, mode)  # a pair that binary64 cannot hold fails before the grid
-    point = partial(_sweep_point, bp, method, n, tol, window, mode)
+    point = partial(_sweep_point, bp, method, n, tol, window)
     return _run_points(point, _grid(bp, p_min, p_max, points), workers)
 
 
@@ -267,7 +250,7 @@ def cross_confirm_features(
         if i_hi - i_lo >= 2:
             spans.append((feat, i_lo, i_hi))
     union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
-    point = partial(_sweep_point, bp, LAPS, None, DEFAULT_TOL, DEFAULT_WINDOW, None)
+    point = partial(_sweep_point, bp, LAPS, None, DEFAULT_TOL, DEFAULT_WINDOW)
     lap_at = dict(zip(union, _run_points(point, [ok[i].p for i in union], workers)))
     confirmed = []
     for feat, i_lo, i_hi in spans:

@@ -39,19 +39,26 @@ class TestEntropyCommand:
         assert payload["order"] == 500
         assert payload["certified"] is True
 
-    def test_spectral_float_mode_prints_the_exact_row(self, capsys):
-        # --mode is the lap method's arithmetic: the spectral method evaluates the exact map
+    def test_coarse_tol_keeps_the_bracket_floor(self, capsys):
+        # the root bracket starts at (1 + c_min)/2 = 1.05 for every tol; 1 + tol would lie above this root
         argv = ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7"]
-        code, out, err = run_cli(capsys, *argv, "--mode", "float")
+        code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert '"certified": true' in out
-        assert run_cli(capsys, *argv) == (0, out, "")
+        fine = json.loads(out)
+        assert fine["certified"] is True and fine["gamma"] < 1.25
+        for tol in ("0.2", "0.25"):
+            code, out, err = run_cli(capsys, *argv, "--tol", tol)
+            assert code == 0, err
+            coarse = json.loads(out)
+            assert coarse["certified"] is True
+            # both enclosures hold the root, and each estimate lies in its own
+            assert abs(coarse["entropy"] - fine["entropy"]) <= 2 * (coarse["error_bound"] + fine["error_bound"])
 
     def test_laps_method(self, capsys):
         code, out, _ = run_cli(
             capsys,
             "entropy", "--b0", "1.5", "--b1", "1.5", "--p", "0.5",
-            "--method", "laps", "--n", "50", "--mode", "exact",
+            "--method", "laps", "--n", "50",
         )
         assert code == 0
         payload = json.loads(out)
@@ -113,13 +120,19 @@ class TestKneadingCommand:
         assert list(payload) == ["p", "n", "alpha", "beta", "alpha_period", "beta_period"]
 
     def test_no_mode_option(self, capsys):
-        # every kneading is exact, so the command has no numeric mode to choose
-        code, out, err = run_cli(
-            capsys, "kneading", "--b0", "1.5", "--b1", "1.5", "--p", "3/5", "--n", "8", "--mode", "float"
-        )
-        assert code == 2
-        assert out == ""
-        assert "unrecognized arguments: --mode float" in err
+        # every command evaluates the exact map, so none has a numeric mode to choose
+        pair = ["--b0", "1.5", "--b1", "1.5"]
+        for argv in (
+            ["kneading", *pair, "--p", "3/5", "--n", "8"],
+            ["entropy", *pair, "--p", "3/5", "--method", "laps", "--n", "12", "--window", "4"],
+            ["laps", *pair, "--p", "3/5", "--n", "12", "--window", "4"],
+            ["sweep", *pair, "--p-min", "0.4", "--p-max", "0.6", "--points", "3", "--method", "laps",
+             "--n", "12", "--window", "4", "--workers", "1"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--mode", "float")
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments: --mode float" in err
 
 
 class TestLapsCommand:
@@ -133,16 +146,6 @@ class TestLapsCommand:
         assert payload["variation"] == pytest.approx(1.5**20, rel=1e-12)
         assert payload["entropy"] == pytest.approx(math.log(1.5), abs=1e-12)
         assert payload["lap_rate"] > 0
-
-    def test_float_overflow_exit_4(self, capsys):
-        # 1.9^1108 laps no longer fit in a float: a resource error, not a traceback
-        code, out, err = run_cli(
-            capsys, "laps", "--b0", "1.9", "--b1", "1.9", "--p", "1/2", "--mode", "float", "--n", "1200"
-        )
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error:") and "--mode exact" in err
-        assert "Traceback" not in err
 
     def test_exact_variation_past_binary64(self, capsys, monkeypatch):
         import lorenzmaps.cli as cli_module
@@ -319,8 +322,7 @@ class TestSweepCommand:
         "argv",
         [
             ["--b0", "1.5", "--b1", "1.5", "--p-min", "1/2", "--p-max", "0.50000000000000001"],
-            ["--b0", "1e400", "--b1", "1." + "0" * 400 + "1", "--p-min", "2e-401", "--p-max", "8e-401",
-             "--mode", "exact"],
+            ["--b0", "1e400", "--b1", "1." + "0" * 400 + "1", "--p-min", "2e-401", "--p-max", "8e-401"],
         ],
         ids=["within-one-ulp", "below-binary64-range"],
     )
@@ -453,7 +455,7 @@ class TestArgumentHandling:
 
 class TestSinglePointMatchesSweep:
     def test_entropy_prints_the_sweep_row(self, capsys):
-        # float mode rounds the exact map once, so a single point sees the sweep's map
+        # entropy runs the sweep's point function, so it prints the row of the same p
         pair = ["--b0", "1.43", "--b1", "1.58"]
         code, out, _ = run_cli(
             capsys, "sweep", *pair, "--p-min", "29/79", "--p-max", "100/143", "--points", "7",
@@ -470,7 +472,7 @@ class TestSinglePointMatchesSweep:
             assert [format(payload[k], ".17g") for k in keys] == [row[k] for k in keys]
 
     def test_entropy_laps_prints_the_lap_sweep_row(self, capsys):
-        # without --mode both take the lap method's exact default
+        # both evaluate the exact map at the same exact p
         pair = ["--b0", "1.1", "--b1", "1.9", "--method", "laps"]
         code, out, _ = run_cli(
             capsys, "sweep", *pair, "--p-min", "0.69", "--p-max", "0.71", "--points", "3", "--workers", "1"
@@ -568,17 +570,12 @@ class TestLargeNumbers:
         assert "Traceback" not in err
         assert len(err.encode()) < 300
 
-    def test_sweep_rounding_names_exact_mode(self, capsys):
-        # a float lap sweep says so when the rounding breaks the map; without --mode the exact map is evaluated
+    def test_sweep_of_a_pair_binary64_breaks(self, capsys):
+        # the binary64 rounding of these pairs is not a valid map, and both methods evaluate the exact map
         laps = ["--method", "laps", "--n", "12", "--window", "4"]
         argv = ["sweep", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p-min", "2e-401", "--p-max", "8e-401",
                 "--points", "3", "--workers", "1", *laps]
-        code, out, err = run_cli(capsys, *argv, "--mode", "float")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
-        assert "--mode float" not in err
-        # this grid's points all round to the CSV p 0.0, so the exact sweep stops at the grid
+        # this grid's points all round to the CSV p 0.0, so the sweep stops at the grid
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -586,31 +583,30 @@ class TestLargeNumbers:
         # b0 = 1.5 keeps the map's binary64 breakage, and its grid is distinct in binary64
         wide = ["sweep", "--b0", "1.5", "--b1", _B1_NEAR_1, "--p-min", "0.3", "--p-max", "0.6",
                 "--points", "3", "--workers", "1"]
-        code, out, err = run_cli(capsys, *wide, *laps, "--mode", "float")
-        assert code == 2 and "binary64" in err
-        code, out, err = run_cli(capsys, *wide, *laps)
-        assert code == 0, err
-        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
-        # the spectral method ignores --mode and evaluates the exact map
-        code, out, err = run_cli(capsys, *wide, "--n", "60", "--mode", "float")
-        assert code == 0, err
-        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
-        assert run_cli(capsys, *wide, "--n", "60") == (0, out, "")
+        for method in (laps, ["--n", "60"]):
+            code, out, err = run_cli(capsys, *wide, *method)
+            assert code == 0, err
+            assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
 
-    def test_float_rounding_names_exact_mode(self, capsys):
+    def test_entropy_of_a_pair_binary64_breaks(self, capsys):
         argv = ["entropy", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401"]
         laps = ["--method", "laps", "--n", "12", "--window", "4"]
-        code, out, err = run_cli(capsys, *argv, *laps, "--mode", "float")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "binary64" in err and "--mode exact" in err
-        code, out, err = run_cli(capsys, *argv, *laps, "--mode", "exact")
+        code, out, err = run_cli(capsys, *argv, *laps)
         assert code == 0, err
         assert json.loads(out)["entropy"] > 0
-        # the default spectral method at its default n evaluates the exact map
+        # the default spectral method at its default n
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert json.loads(out)["entropy"] > 0
+
+    def test_grid_oracle_names_binary64(self):
+        # the grid oracle samples the map's binary64 rounding, which this pair does not survive
+        from lorenzmaps import LorenzError, LorenzMap, lap_count_bruteforce, make_affine_pair
+
+        bp = make_affine_pair(Fraction("1e400"), Fraction(_B1_NEAR_1))
+        with pytest.raises(LorenzError, match="binary64") as info:
+            lap_count_bruteforce(LorenzMap(bp, Fraction("5e-401")), 2, 10)
+        assert "--mode" not in str(info.value)
 
     @pytest.mark.parametrize(
         "argv",
@@ -679,11 +675,6 @@ def _commands(draw):
         argv.append(f"--n={draw(st.integers(-2, 40))}")
     if grid:
         argv += [f"--points={draw(st.integers(-1, 4))}", "--workers=1"]
-    if command not in ("kneading", "compare"):
-        # an omitted --mode fuzzes each command's default
-        mode = draw(st.sampled_from([None, "exact", "float"]))
-        if mode:
-            argv.append(f"--mode={mode}")
     if command in ("entropy", "sweep"):
         argv.append(f"--method={draw(st.sampled_from(['spectral', 'laps']))}")
     if command != "kneading":

@@ -87,17 +87,12 @@ class TestLapCount:
         with pytest.raises(ResourceLimit):
             lap_count(half_map, 30)
 
-    def test_float_variation_overflow_is_resource_limit(self):
+    def test_variation_past_binary64_is_exact(self):
         big = 2**1100  # lap multiplicity beyond binary64's range
-        with pytest.raises(ResourceLimit, match="--mode exact"):
-            LapState(1100, (((0.0, 0.5), big),)).total_variation
         assert LapState(1100, (((F(0), F(1, 2)), big),)).total_variation == F(big, 2)
-
-    def test_float_overflow_names_the_first_step_past_binary64(self):
-        # the estimate reads steps 10, 20 and 30; the variation leaves binary64 at step 5
-        states = [LapState(k, (((0.0, 0.5), 2**1100 if k >= 5 else 1),)) for k in range(1, 31)]
-        with pytest.raises(ResourceLimit, match="at step 5 "):
-            laps._lap_estimate(states, 10)
+        # the estimate reads steps 10, 20 and 30, whose variations all lie past binary64
+        states = [LapState(k, (((F(0), F(1, 2)), big if k >= 5 else 1),)) for k in range(1, 31)]
+        assert laps._lap_estimate(states, 10).entropy == 0.0
 
 
 class TestBruteforce:
@@ -185,9 +180,12 @@ class TestEntropyLaps:
         assert abs(est.entropy - math.log(1.5)) < 1e-12
 
     def test_float_mode_close_to_exact(self):
+        # a float map gives the exact laps of its binary64 values, close to those of the exact map
         bp = make_affine_pair(F(11, 10), F(19, 10))
         exact = entropy_laps(LorenzMap(bp, F(7, 10), UPPER), 30, 10)
-        fl = entropy_laps(LorenzMap(bp.to_float(), 0.7, UPPER), 30, 10)
+        mf = LorenzMap(bp.to_float(), 0.7, UPPER)
+        fl = entropy_laps(mf, 30, 10)
+        assert fl == entropy_laps(mf.to_exact(), 30, 10)
         assert abs(exact.entropy - fl.entropy) < 1e-9
 
 
@@ -205,8 +203,6 @@ def _lap_states_reference(m, n):
             for left, right in halves:
                 img = (f0(left), f0(right)) if right <= p else (f1(left), f1(right))
                 new[img] = new.get(img, 0) + mult
-        if not m.is_exact:
-            new = laps._merge_close(new, laps.FLOAT_MERGE_TOL)
         classes = new
         out.append(LapState(step, tuple(sorted(classes.items()))))
     return out
@@ -244,8 +240,7 @@ def _random_pair(draw):
 @st.composite
 def _random_map(draw):
     bp = draw(_random_pair())
-    m = LorenzMap(bp, bp.a + F(draw(st.integers(1, 9999)), 10000) * (bp.b - bp.a), UPPER)
-    return m.to_float() if draw(st.booleans()) else m
+    return LorenzMap(bp, bp.a + F(draw(st.integers(1, 9999)), 10000) * (bp.b - bp.a), UPPER)
 
 
 class TestMappedOnce:
@@ -258,9 +253,12 @@ class TestMappedOnce:
         assert lap_states(m, n) == want
         if n > window:
             assert entropy_laps(m, n, window) == _lap_estimate_reference(want, window)
+        # a float map is read at its exact binary64 values
+        mf = m.to_float()
+        assert lap_states(mf, n) == lap_states(mf.to_exact(), n)
 
-    @pytest.mark.parametrize("float_mode", [False, True])
-    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch, float_mode):
+    @pytest.mark.parametrize("float_map", [False, True])
+    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch, float_map):
         calls = {}
         call = BranchSpec.__call__
 
@@ -273,8 +271,11 @@ class TestMappedOnce:
         n = 50
         for _ in range(4):
             m = random_affine_map(rng)
-            m = m.to_float() if float_mode else m
+            m = m.to_float() if float_map else m
             calls.clear()
             lap_states(m, n)
-            assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
+            # a float map is mapped through the two branches of its exact binary64 values
+            assert len(calls) <= 2
+            if not float_map:
+                assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
             assert sum(calls.values()) <= 2 * n + 4

@@ -247,6 +247,25 @@ class TestEntropySpectral:
         with pytest.raises(DomainError):
             entropy_spectral(make_uniform_pair(F(3, 2)), F(1, 2), n=1)
 
+    @pytest.mark.parametrize(
+        "bp, p",
+        [(make_uniform_pair(F(3, 2)), F(1, 2))]
+        + [(make_affine_pair(F(11, 10), F(19, 10)), p) for p in (F(3, 5), F(13, 20), F(7, 10))],
+        ids=["uniform-1/2", "paper-3/5", "paper-13/20", "paper-7/10"],
+    )
+    def test_enclosure_covers_horner_rounding(self, bp, p):
+        # a tolerance below binary64's spacing collapses the bisection bracket to the computed root x.
+        # The exact truncation there may be as large as Higham's bound r = gamma_3n x/(x - 1), and
+        # |xi'| <= 1/(x - 1)^2, so its root may lie r (x - 1)^2 away: the enclosure must reach that far
+        n = 500
+        est = entropy_spectral(bp, p, n=n, tol=1e-300)
+        x = est.gamma
+        u = 2.0**-53
+        reach = 3 * n * u / (1 - 3 * n * u) * x / (x - 1.0) * (x - 1.0) ** 2
+        assert est.certified
+        # error_bound = ln(x_hi / x_lo) / 2 >= (x_hi - x_lo) / (2 x_hi), with x_hi <= 2
+        assert est.error_bound >= reach / 4
+
     def test_float_mode_matches_exact_mode(self):
         bp = make_affine_pair(F(11, 10), F(19, 10))
         exact = entropy_spectral(bp, F(3, 5), n=160, tol=1e-9)

@@ -83,9 +83,21 @@ class TestSweep:
             assert r.status == "ok"
             assert abs(r.estimate.entropy - math.log(1.5)) < 1e-12
 
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            sweep(make_uniform_pair(F(3, 2)), F(2, 5), F(3, 5), 3, "transfer-operator")
+    def test_unknown_method(self, monkeypatch):
+        # rejected before either estimator runs
+        module = sys.modules["lorenzmaps.sweep"]
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(module, "entropy_spectral", evaluated)
+        monkeypatch.setattr(module, "entropy_laps", evaluated)
+        bp = make_uniform_pair(F(3, 2))
+        with pytest.raises(DomainError, match="unknown method"):
+            module.estimate(bp, F(1, 2), "bogus")
+        for method in ("bogus", "transfer-operator"):
+            with pytest.raises(DomainError, match="unknown method"):
+                sweep(bp, F(2, 5), F(3, 5), 3, method=method)
 
 
 @pytest.fixture

@@ -10,9 +10,8 @@ under the lower map and beta under the upper map; for p strictly inside
 Symbol words are plain '0'/'1' strings, so Python's string order is the
 lexicographic order with 0 < 1.
 
-Every word comes from one exact integer orbit.  A float map or point is
-read at its exact binary64 value, so its kneading is that of the map the
-floats denote, and a period is reported exactly when T^k(p) = p.
+Every word comes from one exact integer orbit of an exact map, and a
+period is reported exactly when T^k(p) = p.
 """
 
 from __future__ import annotations
@@ -67,13 +66,13 @@ def itinerary(m: LorenzMap, x, n: int) -> str:
 def _walk(m: LorenzMap, x, n: int):
     """(itinerary(m, x, n), certified period) from one integer orbit of x.
 
-    A float map or x is read at its exact binary64 value; the period is the
+    A float x is read at its exact binary64 value; the period is the
     smallest k <= n with T^k(x) = x, or None.
     """
     x = _coerce(x)
     if not 0 <= x <= 1:
         raise DomainError(f"{x!r} outside [0, 1]")
-    return _integer_walk(m if m.is_exact else m.to_exact(), Fraction(x), n)
+    return _integer_walk(m, x, n)
 
 
 def _integer_pieces(spec: BranchSpec):

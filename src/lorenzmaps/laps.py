@@ -12,10 +12,10 @@ exponential lap growth as exact big integers.  The same endpoints recur
 across classes and steps, so each branch maps each orbit point once: a
 call makes at most 2n + 4 branch evaluations in all.
 
-The arithmetic is exact: a float map is read at its binary64 values, so
-classes merge only when their images are equal.  ``variation`` is the
-sum of lap-image lengths, the quantity whose exponential growth rate is
-the entropy; for a uniform slope-b pair it equals b^n to the last digit.
+The arithmetic is exact, as every map is, so classes merge only when
+their images are equal.  ``variation`` is the sum of lap-image lengths,
+the quantity whose exponential growth rate is the entropy; for a uniform
+slope-b pair it equals b^n to the last digit.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimit
-from .maps import UPPER, LorenzMap
+from .errors import DomainError, LorenzError, ResourceLimit
+from .maps import UPPER, BranchPair, BranchSpec, LorenzMap
 from .spectral import LAPS, EntropyEstimate
 
 DEFAULT_ITERATES = 50
@@ -76,10 +76,9 @@ def _memo(branch):
 
 
 def lap_states(m: LorenzMap, n: int) -> list:
-    """LapState after each of the first n steps; a float map is read at its exact binary64 values."""
+    """LapState after each of the first n steps."""
     if n < 1:
         raise DomainError("need at least one step")
-    m = m if m.is_exact else m.to_exact()
     f0, f1 = (_memo(branch) for branch in (m.branches.f0, m.branches.f1))
     p = m.p
     # images of the two laps of T itself: [0, p) under f0 and [p, 1] under f1
@@ -117,12 +116,10 @@ def lap_count_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> int:
         raise DomainError("need at least one step")
     if grid < 2:
         raise DomainError("grid too small")
-    mf = m.to_float()
-    p = mf.p
-    xs0 = np.array(mf.branches.f0._xs)
-    ys0 = np.array(mf.branches.f0._ys)
-    xs1 = np.array(mf.branches.f1._xs)
-    ys1 = np.array(mf.branches.f1._ys)
+    mf = _binary64(m)
+    p = float(mf.p)
+    f0, f1 = mf.branches.f0, mf.branches.f1
+    xs0, ys0, xs1, ys1 = (np.array(v, dtype=float) for v in (f0._xs, f0._ys, f1._xs, f1._ys))
     y = np.linspace(0.0, 1.0, grid + 1)
     upper = mf.side == UPPER
     for _ in range(n):
@@ -132,6 +129,17 @@ def lap_count_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> int:
     max_branch_rise = float(mf.branches.c_max) ** n / grid
     boundaries = int(np.count_nonzero((rise <= 0) | (rise > max_branch_rise * (1 + 1e-9))))
     return boundaries + 1
+
+
+def _binary64(m: LorenzMap) -> LorenzMap:
+    # the map whose numbers are m's rounded to binary64, validated as a map of its own
+    def rounded(spec):
+        return BranchSpec(tuple((float(x), float(y)) for x, y in spec.points))
+
+    try:
+        return LorenzMap(BranchPair(rounded(m.branches.f0), rounded(m.branches.f1)), float(m.p), m.side)
+    except LorenzError as exc:
+        raise type(exc)(f"binary64 rounding breaks this map ({exc})") from exc
 
 
 def _ln(value: Fraction) -> float:

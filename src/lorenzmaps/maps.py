@@ -7,26 +7,24 @@ map applies f1 at x = p, the *lower* map applies f0 there; everywhere else
 the two agree.  Every linear piece of a branch must have slope > 1, so the
 map expands and the inverse branches contract.
 
-Numbers are either ``fractions.Fraction`` or binary64 floats, and a map is
-exact iff every defining number is a Fraction.  Text and integers are read
-as Fractions (``parse_scalar``), so a float map is made by ``to_float()``
-from an exact map that has already been validated.  The kneading walk and
-the lap propagation read a float map at its exact binary64 values, so no
-orbit point or lap image is ever rounded.
+Every number a map holds or computes is a ``fractions.Fraction``: text is
+read by ``parse_scalar``, an integer as itself and a float at its exact
+binary64 value, while NaN and infinities are rejected.  So every map is
+exact when it is built, and no orbit point or lap image is ever rounded.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from typing import Union
 
-from .errors import DomainError, InvalidBranch, InvalidSlopes, LorenzError
+from .errors import DomainError, InvalidBranch, InvalidSlopes
 
-Scalar = Union[Fraction, float]
+Scalar = Fraction
 
 UPPER = "upper"
 LOWER = "lower"
@@ -52,21 +50,19 @@ def parse_scalar(text) -> Fraction:
     raise DomainError(f"decimal exponent of {shown} exceeds {MAX_EXPONENT} in magnitude")
 
 
-def _coerce(value) -> Scalar:
-    # ints become Fractions so that integer inputs keep a map exact
+def _coerce(value) -> Fraction:
+    # the exact value of a number: a float is read at its binary64 value
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise InvalidBranch(f"not a number: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"not a finite number: {value!r}")
+    if isinstance(value, (int, float)):
         return Fraction(value)
-    if isinstance(value, (Fraction, float)):
-        return value
     if isinstance(value, str):
         return parse_scalar(value)
     raise InvalidBranch(f"unsupported numeric type: {type(value).__name__}")
-
-
-def _fmt_scalar(value) -> str:
-    return str(value) if isinstance(value, Fraction) else repr(float(value))
 
 
 def fmt_number(value) -> str:
@@ -133,19 +129,13 @@ class BranchSpec:
     def kind(self) -> str:
         return "affine" if len(self.points) == 2 else "pwl"
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for xy in self.points for v in xy)
-
     @classmethod
     def affine_from_zero(cls, slope) -> "BranchSpec":
         """The branch x -> slope*x on [0, 1/slope]; the usual f0."""
         slope = _coerce(slope)
         if slope <= 1:
             raise InvalidSlopes("affine branch slope must exceed 1")
-        one = slope / slope
-        zero = one - one
-        return cls(((zero, zero), (one / slope, one)))
+        return cls(((0, 0), (1 / slope, 1)))
 
     @classmethod
     def affine_to_one(cls, slope) -> "BranchSpec":
@@ -153,43 +143,26 @@ class BranchSpec:
         slope = _coerce(slope)
         if slope <= 1:
             raise InvalidSlopes("affine branch slope must exceed 1")
-        one = slope / slope
-        zero = one - one
-        return cls((((slope - one) / slope, zero), (one, one)))
+        return cls((((slope - 1) / slope, 0), (1, 1)))
 
     def _piece(self, seq, value) -> int:
         i = bisect.bisect_right(seq, value) - 1
         return min(max(i, 0), len(seq) - 2)
 
     def __call__(self, x) -> Scalar:
+        x = _coerce(x)
         if x < self.lo or x > self.hi:
             raise DomainError(f"{x!r} outside branch domain [{self.lo}, {self.hi}]")
         i = self._piece(self._xs, x)
-        y = self._ys[i] + self._slopes[i] * (x - self._xs[i])
-        # float endpoint rounding must not escape [0, 1]
-        if y < 0:
-            return self._ys[0]
-        if y > 1:
-            return self._ys[-1]
-        return y
+        return self._ys[i] + self._slopes[i] * (x - self._xs[i])
 
     def inverse(self, y) -> Scalar:
         """The unique x with branch(x) = y, for y in [0, 1]."""
+        y = _coerce(y)
         if y < 0 or y > 1:
             raise DomainError(f"{y!r} outside [0, 1]")
         i = self._piece(self._ys, y)
-        x = self._xs[i] + (y - self._ys[i]) / self._slopes[i]
-        if x < self.lo:
-            return self.lo
-        if x > self.hi:
-            return self.hi
-        return x
-
-    def to_float(self) -> "BranchSpec":
-        return BranchSpec(tuple((float(x), float(y)) for x, y in self.points))
-
-    def to_exact(self) -> "BranchSpec":
-        return BranchSpec(tuple((Fraction(x), Fraction(y)) for x, y in self.points))
+        return self._xs[i] + (y - self._ys[i]) / self._slopes[i]
 
 
 @dataclass(frozen=True)
@@ -226,16 +199,6 @@ class BranchPair:
     def c_max(self) -> Scalar:
         return max(self.f0.slope_max, self.f1.slope_max)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.f0.is_exact and self.f1.is_exact
-
-    def to_float(self) -> "BranchPair":
-        return BranchPair(self.f0.to_float(), self.f1.to_float())
-
-    def to_exact(self) -> "BranchPair":
-        return BranchPair(self.f0.to_exact(), self.f1.to_exact())
-
     def to_json_dict(self) -> dict:
         return {"f0": _branch_json(self.f0), "f1": _branch_json(self.f1)}
 
@@ -250,8 +213,8 @@ class BranchPair:
 
 def _branch_json(spec: BranchSpec) -> dict:
     if spec.kind == "affine":
-        return {"type": "affine", "slope": _fmt_scalar(spec.slopes[0])}
-    return {"type": "pwl", "points": [[_fmt_scalar(x), _fmt_scalar(y)] for x, y in spec.points]}
+        return {"type": "affine", "slope": str(spec.slopes[0])}
+    return {"type": "pwl", "points": [[str(x), str(y)] for x, y in spec.points]}
 
 
 def _branch_from_json(obj: dict, role: str) -> BranchSpec:
@@ -308,11 +271,8 @@ class LorenzMap:
             bounds = ", ".join(fmt_number(v) for v in (self.branches.a, self.branches.b))
             raise DomainError(f"p = {fmt_number(self.p)} outside [{bounds}]")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.branches.is_exact and isinstance(self.p, Fraction)
-
     def apply(self, x) -> Scalar:
+        x = _coerce(x)
         if x < 0 or x > 1:
             raise DomainError(f"{x!r} outside [0, 1]")
         if self.side == UPPER:
@@ -329,13 +289,3 @@ class LorenzMap:
         for _ in range(n):
             out.append(self.apply(out[-1]))
         return out
-
-    def to_float(self) -> "LorenzMap":
-        # cannot overflow: p and every stored point lie in [0, 1]
-        try:
-            return LorenzMap(self.branches.to_float(), float(self.p), self.side)
-        except LorenzError as exc:
-            raise type(exc)(f"binary64 rounding breaks this map ({exc})") from exc
-
-    def to_exact(self) -> "LorenzMap":
-        return LorenzMap(self.branches.to_exact(), Fraction(self.p), self.side)

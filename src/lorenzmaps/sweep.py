@@ -38,7 +38,7 @@ from .errors import (
     ResourceLimit,
 )
 from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, entropy_laps
-from .maps import UPPER, BranchPair, LorenzMap, fmt_number
+from .maps import UPPER, BranchPair, LorenzMap, _coerce, fmt_number
 from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
 
 STATUS_OK = "ok"
@@ -50,7 +50,7 @@ BUMP = "bump"
 
 CSV_FIELDS = ("p", "entropy", "gamma", "method", "order", "error_bound", "status")
 
-#: grid points added on each side of a feature for its lap confirmation
+#: grid points added on each side of a feature for its confirmation
 CONFIRM_PAD = 3
 
 
@@ -76,8 +76,8 @@ class NonMonotoneFeature:
 def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     if points < 2:
         raise DomainError("a sweep needs at least 2 points")
-    a, b = Fraction(bp.a), Fraction(bp.b)
-    lo, hi = Fraction(p_min), Fraction(p_max)
+    a, b = bp.a, bp.b
+    lo, hi = _coerce(p_min), _coerce(p_max)
     if lo >= hi:
         raise RangeError(f"need p_min < p_max, got [{fmt_number(lo)}, {fmt_number(hi)}]")
     if lo < a or hi > b:
@@ -222,27 +222,27 @@ def compare_methods(records_a, records_b):
     return float(diffs[i]), float(diffs.mean()), float(ps[i])
 
 
-def _max_error(records, fallback):
-    errs = [r.estimate.error_bound for r in records if r.status == STATUS_OK]
-    return max(errs) if errs else fallback
+def _max_error(records):
+    return max((r.estimate.error_bound for r in records if r.status == STATUS_OK), default=0.0)
 
 
 def cross_confirm_features(
     bp: BranchPair, records, features, *, prominence_tol: float, workers: int | None = None
 ) -> list:
-    """Keep only features the lap method reproduces on the feature's own sub-grid.
+    """Keep only features the other method reproduces on the feature's own sub-grid.
 
-    For each candidate, the lap estimator is run on the sweep's p values
-    covering the feature (padded by ``CONFIRM_PAD`` grid points) and must
-    show a same-direction feature overlapping in p whose prominence matches
-    within the two methods' combined error bounds.  A lap record is the lap
-    sweep's record at the same exact grid point, so the union of all
-    sub-grids is evaluated once, each p a single time, in one pool as in
-    ``sweep``.
+    The other method is the one the records' estimates did not use.  For
+    each candidate, it is run on the sweep's p values covering the feature
+    (padded by ``CONFIRM_PAD`` grid points) and must show a same-direction
+    feature overlapping in p whose prominence matches within the two
+    methods' combined error bounds.  Its record is its sweep's record at
+    the same exact grid point, so the union of all sub-grids is evaluated
+    once, each p a single time, in one pool as in ``sweep``.
     """
     ok, ps, _ = _ok_arrays(records)
     if len(ps) < 3 or not features:
         return []
+    other = SPECTRAL if ok[0].estimate.method == LAPS else LAPS
     spans = []
     for feat in features:
         i_lo = max(0, int(np.searchsorted(ps, feat.p_low)) - CONFIRM_PAD)
@@ -250,20 +250,19 @@ def cross_confirm_features(
         if i_hi - i_lo >= 2:
             spans.append((feat, i_lo, i_hi))
     union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
-    point = partial(_sweep_point, bp, LAPS, None, DEFAULT_TOL, DEFAULT_WINDOW)
-    lap_at = dict(zip(union, _run_points(point, [ok[i].p for i in union], workers)))
+    point = partial(_sweep_point, bp, other, None, DEFAULT_TOL, DEFAULT_WINDOW)
+    other_at = dict(zip(union, _run_points(point, [ok[i].p for i in union], workers)))
     confirmed = []
     for feat, i_lo, i_hi in spans:
-        lap_records = [lap_at[i] for i in range(i_lo, i_hi + 1)]
-        err = _max_error(ok[i_lo : i_hi + 1], DEFAULT_TOL) + _max_error(lap_records, 0.0)
+        other_records = [other_at[i] for i in range(i_lo, i_hi + 1)]
+        err = _max_error(ok[i_lo : i_hi + 1]) + _max_error(other_records)
         floor = max(prominence_tol - err, 16 * DEFAULT_TOL)
-        lap_features = detect_nonmonotonic(lap_records, floor)
-        for lap_feat in lap_features:
+        for other_feat in detect_nonmonotonic(other_records, floor):
             if (
-                lap_feat.direction == feat.direction
-                and lap_feat.p_low <= feat.p_high
-                and feat.p_low <= lap_feat.p_high
-                and abs(lap_feat.prominence - feat.prominence) <= err
+                other_feat.direction == feat.direction
+                and other_feat.p_low <= feat.p_high
+                and feat.p_low <= other_feat.p_high
+                and abs(other_feat.prominence - feat.prominence) <= err
             ):
                 confirmed.append(feat)
                 break

@@ -170,8 +170,9 @@ def test_criterion_6_tail_bound_soundness():
     checked = 0
     for _ in range(6):
         m = random_affine_map(rng)
-        # float-mode words are fine: the bound is structural in the coefficients
-        coeffs = xi_coeffs(kneading_prefixes(m.branches.to_float(), float(m.p), 600)).coeffs
+        # the binary64 slopes and p make another map; the bound is structural in the coefficients
+        bp = make_affine_pair(*(float(f.slopes[0]) for f in (m.branches.f0, m.branches.f1)))
+        coeffs = xi_coeffs(kneading_prefixes(bp, float(m.p), 600)).coeffs
         for x in (F(13, 10), F(3, 2), F(17, 10), F(2)):
             t = 1 / x
             partial = [F(0)]

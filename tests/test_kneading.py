@@ -131,7 +131,7 @@ class TestKneadingPrefixes:
     @pytest.mark.parametrize("n", [0, -1])
     def test_length_below_one_rejected_in_both_modes(self, n):
         bp = make_uniform_pair(F(3, 2))
-        for pair, p in ((bp, F(3, 5)), (bp.to_float(), 0.6)):
+        for pair, p in ((bp, F(3, 5)), (make_uniform_pair(1.5), 0.6)):
             with pytest.raises(DomainError, match=">= 1"):
                 kneading_prefixes(pair, p, n)
 
@@ -149,7 +149,7 @@ class TestKneadingPrefixes:
 
     def test_float_map_has_the_exact_periods(self):
         # every number of this pair and p = 3/8 is a binary64 value, so the float map is the exact map
-        kp = kneading_prefixes(PWL_PAIR.to_float(), 0.375, 12)
+        kp = kneading_prefixes(float_pair(PWL_PAIR), 0.375, 12)
         assert kp == kneading_prefixes(PWL_PAIR, F(3, 8), 12)
         assert (kp.beta, kp.beta_period, kp.alpha_period) == ("101010101010", 2, None)
 
@@ -160,6 +160,11 @@ class TestKneadingPrefixes:
     def test_periodicity_validated(self):
         with pytest.raises(DomainError):
             KneadingPair("0110", "1011", beta_period=2)
+
+
+def float_pair(bp):
+    # bp with every breakpoint rounded to binary64, the floats passed straight to the constructors
+    return BranchPair(*(BranchSpec(tuple((float(x), float(y)) for x, y in f.points)) for f in (bp.f0, bp.f1)))
 
 
 #: f0 = ((0, 0), (1/2, 1)), f1 = ((1/4, 0), (1/2, 3/8), (1, 1)): beta of p = 3/8 has period 2
@@ -214,18 +219,17 @@ class TestIntegerWalk:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        bp=st.one_of(_AFFINE_PAIRS, _two_piece_pairs()).map(BranchPair.to_float),
+        bp=st.one_of(_AFFINE_PAIRS, _two_piece_pairs()).map(float_pair),
         t=st.integers(0, 1000).map(lambda k: F(k, 1000)),
         n=st.integers(1, 120),
     )
-    @example(bp=PWL_PAIR.to_float(), t=F(1, 2), n=12)  # p = 3/8, beta has period 2
+    @example(bp=float_pair(PWL_PAIR), t=F(1, 2), n=12)  # p = 3/8, beta has period 2
     def test_float_map_walks_its_exact_values(self, bp, t, n):
         p = float(bp.a + t * (bp.b - bp.a))
         kp = kneading_prefixes(bp, p, n)
-        exact = bp.to_exact()
-        assert (kp.alpha, kp.alpha_period) == orbit_walk_oracle(exact, F(p), n, LOWER)
-        assert (kp.beta, kp.beta_period) == orbit_walk_oracle(exact, F(p), n, UPPER)
-        assert kp.beta == itinerary(LorenzMap(exact, F(p), UPPER), p, n)
+        assert (kp.alpha, kp.alpha_period) == orbit_walk_oracle(bp, F(p), n, LOWER)
+        assert (kp.beta, kp.beta_period) == orbit_walk_oracle(bp, F(p), n, UPPER)
+        assert kp.beta == itinerary(LorenzMap(bp, F(p), UPPER), p, n)
 
     def test_x_outside_unit_interval(self):
         m = LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), UPPER)
@@ -257,7 +261,7 @@ class TestDetectPeriod:
 
     def test_float_map_certified(self):
         # a float map is read at its binary64 values: 0.6 is not 3/5, so its 2-cycle is gone
-        assert detect_period(PWL_PAIR.to_float(), 0.375, UPPER, 10) == 2
+        assert detect_period(float_pair(PWL_PAIR), 0.375, UPPER, 10) == 2
         assert detect_period(make_uniform_pair(1.5), 0.6, UPPER, 10) is None
 
     @pytest.mark.parametrize("n_max", [0, -3])

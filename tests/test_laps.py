@@ -183,9 +183,9 @@ class TestEntropyLaps:
         # a float map gives the exact laps of its binary64 values, close to those of the exact map
         bp = make_affine_pair(F(11, 10), F(19, 10))
         exact = entropy_laps(LorenzMap(bp, F(7, 10), UPPER), 30, 10)
-        mf = LorenzMap(bp.to_float(), 0.7, UPPER)
-        fl = entropy_laps(mf, 30, 10)
-        assert fl == entropy_laps(mf.to_exact(), 30, 10)
+        floats = make_affine_pair(1.1, 1.9)
+        fl = entropy_laps(LorenzMap(floats, 0.7, UPPER), 30, 10)
+        assert fl == entropy_laps(LorenzMap(floats, F(0.7), UPPER), 30, 10)
         assert abs(exact.entropy - fl.entropy) < 1e-9
 
 
@@ -253,12 +253,8 @@ class TestMappedOnce:
         assert lap_states(m, n) == want
         if n > window:
             assert entropy_laps(m, n, window) == _lap_estimate_reference(want, window)
-        # a float map is read at its exact binary64 values
-        mf = m.to_float()
-        assert lap_states(mf, n) == lap_states(mf.to_exact(), n)
 
-    @pytest.mark.parametrize("float_map", [False, True])
-    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch, float_map):
+    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch):
         calls = {}
         call = BranchSpec.__call__
 
@@ -271,11 +267,7 @@ class TestMappedOnce:
         n = 50
         for _ in range(4):
             m = random_affine_map(rng)
-            m = m.to_float() if float_map else m
             calls.clear()
             lap_states(m, n)
-            # a float map is mapped through the two branches of its exact binary64 values
-            assert len(calls) <= 2
-            if not float_map:
-                assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
+            assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
             assert sum(calls.values()) <= 2 * n + 4

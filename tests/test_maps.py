@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lorenzmaps import (
     LOWER,
@@ -13,7 +13,11 @@ from lorenzmaps import (
     DomainError,
     InvalidBranch,
     InvalidSlopes,
+    LorenzError,
     LorenzMap,
+    entropy_laps,
+    entropy_spectral,
+    kneading_prefixes,
     make_affine_pair,
     make_uniform_pair,
     parse_scalar,
@@ -56,9 +60,12 @@ class TestMakeAffinePair:
             make_affine_pair(F(3, 2), F(1, 2))
 
     def test_int_slopes_stay_exact(self):
-        bp = make_affine_pair(F(6, 5), F(6, 5))
-        assert bp.is_exact
-        assert not make_affine_pair(1.2, 1.2).is_exact
+        # ints and floats alike are held as the Fractions they denote
+        spec = BranchSpec(((0, 0), (F(1, 2), 1)))
+        assert all(type(v) is F for xy in spec.points for v in xy)
+        bp = make_affine_pair(1.2, 1.2)
+        assert bp.f0.slopes == (F(1.2),) and bp.a == (F(1.2) - 1) / F(1.2)
+        assert all(type(v) is F for f in (bp.f0, bp.f1) for xy in f.points for v in xy)
 
 
 class TestBranchEval:
@@ -188,6 +195,56 @@ class TestLorenzMap:
         with pytest.raises(DomainError):
             LorenzMap(make_uniform_pair(F(3, 2)), F(1, 2), "sideways")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        with pytest.raises(LorenzError):
+            BranchSpec(((0, 0), (bad, 0.5), (0.5, 1)))
+        with pytest.raises(LorenzError):
+            make_affine_pair(bad, 1.5)
+        bp = make_uniform_pair(F(3, 2))
+        with pytest.raises(LorenzError):
+            LorenzMap(bp, bad, UPPER)
+        with pytest.raises(LorenzError):
+            LorenzMap(bp, F(1, 2), UPPER).apply(bad)
+        with pytest.raises(LorenzError):
+            bp.f0.inverse(bad)
+
+
+_SLOPES = st.floats(1.05, 1.95)
+
+
+@st.composite
+def _float_points(draw):
+    # breakpoints of a two-piece pair computed in binary64, every slope in about [1.05, 1.95]
+    s0, s1, t0, t1 = (draw(_SLOPES) for _ in range(4))
+    y0, y1 = draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.9))
+    x0 = y0 / s0
+    a = 1 - (y1 / t0 + (1 - y1) / t1)
+    return ((0.0, 0.0), (x0, y0), (x0 + (1 - y0) / s1, 1.0)), ((a, 0.0), (a + y1 / t0, y1), (1.0, 1.0))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LorenzError as exc:
+        return type(exc)
+
+
+class TestFloatInputs:
+    """A float is read at its binary64 value, so float inputs give the results of their Fractions."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(points=_float_points(), t=st.floats(0.01, 0.99))
+    def test_same_results_as_fraction_inputs(self, points, t):
+        floats = BranchPair(*(BranchSpec(f) for f in points))
+        exact = BranchPair(*(BranchSpec(tuple((F(x), F(y)) for x, y in f)) for f in points))
+        p = float(floats.a + F(t) * (floats.b - floats.a))
+        assert floats == exact
+        assert kneading_prefixes(floats, p, 40) == kneading_prefixes(exact, F(p), 40)
+        laps = (LorenzMap(floats, p, UPPER), 16, 4), (LorenzMap(exact, F(p), UPPER), 16, 4)
+        assert _outcome(entropy_laps, *laps[0]) == _outcome(entropy_laps, *laps[1])
+        assert _outcome(entropy_spectral, floats, p, 100) == _outcome(entropy_spectral, exact, F(p), 100)
+
 
 class TestOrbit:
     def test_two_cycle(self):
@@ -207,13 +264,6 @@ class TestOrbit:
     def test_zero_steps(self):
         m = LorenzMap(make_uniform_pair(F(3, 2)), F(1, 2), LOWER)
         assert m.orbit(F(2, 5), 0) == [F(2, 5)]
-
-    def test_exactness_flag(self):
-        bp = make_uniform_pair(F(3, 2))
-        assert LorenzMap(bp, F(1, 2), UPPER).is_exact
-        assert not LorenzMap(bp, 0.5, UPPER).is_exact
-        assert not LorenzMap(bp.to_float(), 0.5, UPPER).is_exact
-        assert LorenzMap(bp.to_float(), 0.5, UPPER).to_exact().is_exact
 
 
 class TestBranchSpecValidation:

@@ -12,6 +12,7 @@ from lorenzmaps import (
     EntropyEstimate,
     GridMismatch,
     InsufficientData,
+    LorenzError,
     RangeError,
     SweepRecord,
     compare_methods,
@@ -62,6 +63,11 @@ class TestSweep:
             sweep(bp, F(3, 5), F(2, 5), 4, "spectral", n=20)
         with pytest.raises(DomainError):
             sweep(bp, F(2, 5), F(3, 5), 1, "spectral", n=20)
+
+    @pytest.mark.parametrize("bounds", [(math.nan, 0.6), (0.4, math.inf), (-math.inf, 0.6)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(LorenzError):
+            sweep(make_uniform_pair(F(3, 2)), *bounds, 3)
 
     def test_boundary_margin(self):
         bp = make_uniform_pair(F(3, 2))
@@ -221,6 +227,29 @@ class TestCrossConfirm:
         assert batches[0] == sorted(set(batches[0]))
         grid = set(sweep_module._grid(bp, F(9, 19), F(10, 11), 60))
         assert all(p in grid for p in batches[0])
+
+    def test_a_lap_sweep_is_confirmed_by_the_spectral_method(self, monkeypatch):
+        # a dip of 0.01 in a lap curve: the spectral method, not the lap method, must reproduce it
+        sweep_module = sys.modules["lorenzmaps.sweep"]
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        grid = sweep_module._grid(bp, F(1, 2), F(4, 5), 30)
+        dip = [0.19 if i == 15 else 0.2 for i in range(30)]
+        records = [SweepRecord(p, EntropyEstimate(h, math.exp(h), "laps", 50, 1e-9, False), "ok")
+                   for p, h in zip(grid, dip)]
+        features = detect_nonmonotonic(records, 1e-5)
+        assert [f.direction for f in features] == [DIP]
+
+        def no_laps(*args, **kwargs):
+            raise AssertionError("the lap estimator ran")
+
+        spectral_points = []
+        spectral = sweep_module.entropy_spectral
+        monkeypatch.setattr(sweep_module, "entropy_laps", no_laps)
+        monkeypatch.setattr(
+            sweep_module, "entropy_spectral", lambda bp, p, n, tol: spectral_points.append(p) or spectral(bp, p, n, tol)
+        )
+        assert cross_confirm_features(bp, records, features, prominence_tol=1e-5) == []
+        assert spectral_points == grid[11:20]
 
 
 class TestContinuityModulus:

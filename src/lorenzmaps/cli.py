@@ -42,6 +42,22 @@ def _add_branch_args(sub):
     sub.add_argument("--branches", help="JSON file with f0/f1 branch specs")
 
 
+def _add_shared_args(sub, *names):
+    options = {
+        "--p": {"required": True},
+        "--p-min": {"required": True},
+        "--p-max": {"required": True},
+        "--points": {"type": int, "required": True},
+        "--method": {"choices": (SPECTRAL, LAPS), "default": SPECTRAL},
+        "--n": {"type": int, "default": None},
+        "--tol": {"type": _above(float, 0), "default": DEFAULT_TOL},
+        "--window": {"type": int, "default": DEFAULT_WINDOW},
+        "--workers": {"type": _above(int, 0), "default": None},
+    }
+    for name in names:
+        sub.add_argument(name, **options[name])
+
+
 def _load_pair(args) -> BranchPair:
     if args.branches:
         if args.b0 or args.b1:
@@ -200,38 +216,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     entropy = subs.add_parser("entropy", help="entropy at a single p")
     _add_branch_args(entropy)
-    entropy.add_argument("--p", required=True)
-    entropy.add_argument("--method", choices=(SPECTRAL, LAPS), default=SPECTRAL)
-    entropy.add_argument("--n", type=int, default=None)
-    entropy.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
-    entropy.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    _add_shared_args(entropy, "--p", "--method", "--n", "--tol", "--window")
     entropy.set_defaults(func=_cmd_entropy)
 
     kneading = subs.add_parser("kneading", help="kneading prefixes and periods at p")
     _add_branch_args(kneading)
-    kneading.add_argument("--p", required=True)
+    _add_shared_args(kneading, "--p")
     kneading.add_argument("--n", type=int, default=32)
     kneading.set_defaults(func=_cmd_kneading)
 
     laps = subs.add_parser("laps", help="lap count, variation and lap entropy at p")
     _add_branch_args(laps)
-    laps.add_argument("--p", required=True)
+    _add_shared_args(laps, "--p", "--window")
     laps.add_argument("--n", type=int, default=DEFAULT_ITERATES)
-    laps.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     laps.set_defaults(func=_cmd_laps)
 
     swp = subs.add_parser("sweep", help="entropy curve over a p range")
     _add_branch_args(swp)
-    swp.add_argument("--p-min", required=True)
-    swp.add_argument("--p-max", required=True)
-    swp.add_argument("--points", type=int, required=True)
-    swp.add_argument("--method", choices=(SPECTRAL, LAPS), default=SPECTRAL)
-    swp.add_argument("--n", type=int, default=None)
-    swp.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
-    swp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    _add_shared_args(swp, "--p-min", "--p-max", "--points", "--method", "--n", "--tol", "--window", "--workers")
     swp.add_argument("--out", help="CSV/JSON output path (default: stdout)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
-    swp.add_argument("--workers", type=_above(int, 0), default=None)
     swp.add_argument("--features-out", help="also write detected non-monotone features")
     swp.add_argument("--prominence", type=_above(float, 0), default=1e-5)
     swp.add_argument("--no-confirm", action="store_true", help="skip cross-method confirmation")
@@ -241,14 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = subs.add_parser("compare", help="spectral vs lap entropy on a shared grid")
     _add_branch_args(comp)
-    comp.add_argument("--p-min", required=True)
-    comp.add_argument("--p-max", required=True)
-    comp.add_argument("--points", type=int, required=True)
+    _add_shared_args(comp, "--p-min", "--p-max", "--points", "--tol", "--window", "--workers")
     comp.add_argument("--spectral-n", type=int, default=DEFAULT_ORDER)
     comp.add_argument("--laps-n", type=int, default=DEFAULT_ITERATES)
-    comp.add_argument("--tol", type=_above(float, 0), default=DEFAULT_TOL)
-    comp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    comp.add_argument("--workers", type=_above(int, 0), default=None)
     comp.set_defaults(func=_cmd_compare)
 
     return parser

@@ -57,22 +57,13 @@ class KneadingPair:
 
 
 def itinerary(m: LorenzMap, x, n: int) -> str:
-    """First n itinerary symbols of x under m (n >= 1)."""
+    """First n itinerary symbols of x under m (n >= 1); a float x is read at its binary64 value."""
     if n < 1:
         raise DomainError("itinerary length must be >= 1")
-    return _walk(m, x, n)[0]
-
-
-def _walk(m: LorenzMap, x, n: int):
-    """(itinerary(m, x, n), certified period) from one integer orbit of x.
-
-    A float x is read at its exact binary64 value; the period is the
-    smallest k <= n with T^k(x) = x, or None.
-    """
     x = _coerce(x)
     if not 0 <= x <= 1:
         raise DomainError(f"{x!r} outside [0, 1]")
-    return _integer_walk(m, x, n)
+    return _integer_walk(m, x, n)[0]
 
 
 def _integer_pieces(spec: BranchSpec):
@@ -87,13 +78,13 @@ def _integer_pieces(spec: BranchSpec):
 
 
 def _integer_walk(m: LorenzMap, x: Fraction, n: int):
-    """``_walk`` of an exact map at an exact x in [0, 1], on integers.
+    """(first n itinerary symbols of x, certified period) from one integer orbit of x in [0, 1].
 
-    An orbit value is an unreduced pair (N, D) with D > 0; a piece
-    y = (A*x + B)/C steps it to (A*N + B*D, C*D), and every comparison
-    with p, a breakpoint or x is a cross-multiplication, so no step pays
-    for a gcd.  A certified period k makes the word k-periodic, so the
-    walk stops there.
+    The period is the smallest k <= n with T^k(x) = x, or None.  An orbit
+    value is an unreduced pair (N, D) with D > 0; a piece y = (A*x + B)/C
+    steps it to (A*N + B*D, C*D), and every comparison with p, a breakpoint
+    or x is a cross-multiplication, so no step pays for a gcd.  A certified
+    period k makes the word k-periodic, so the walk stops there.
     """
     f0, f1 = _integer_pieces(m.branches.f0), _integer_pieces(m.branches.f1)
     pn, pd = m.p.numerator, m.p.denominator
@@ -122,23 +113,21 @@ def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
     """Kneading prefixes alpha|n (lower map) and beta|n (upper map) at p, for n >= 1.
 
     Each one-sided orbit of p is walked once, exactly, and attaches its
-    certified period up to n; a float bp or p is read at its binary64 value.
+    certified period up to n; a float p is read at its binary64 value.
     """
     if n < 1:
         raise DomainError("kneading prefix length must be >= 1")
     lower = LorenzMap(bp, p, LOWER)
     upper = LorenzMap(bp, p, UPPER)
-    alpha, alpha_period = _walk(lower, lower.p, n)
-    beta, beta_period = _walk(upper, upper.p, n)
+    alpha, alpha_period = _integer_walk(lower, lower.p, n)
+    beta, beta_period = _integer_walk(upper, upper.p, n)
     return KneadingPair(alpha, beta, alpha_period, beta_period)
 
 
 def detect_period(bp: BranchPair, p, side: str, n_max: int) -> int | None:
     """Certified smallest n <= n_max with T^n(p) = p, or None; n_max <= 0 gives None."""
     m = LorenzMap(bp, p, side)
-    if n_max < 1:
-        return None
-    return _walk(m, m.p, n_max)[1]
+    return _integer_walk(m, m.p, n_max)[1]
 
 
 def compare_lex(u: str, v: str) -> int:

@@ -2,15 +2,16 @@
 
 The n-th iterate of a Lorenz map is piecewise increasing; each maximal
 monotone piece (a *lap*) maps its domain onto an interval.  Rather than
-enumerate the exponentially many laps, we keep one class per distinct
-image interval with a multiplicity: a class straddling the discontinuity
-splits into its two branch images, any other class maps through the one
-branch covering it, and identical images merge by adding multiplicities.
-Every class endpoint lies on a forward orbit of p, 0 or 1, so the number
-of classes grows linearly in n while the multiplicities carry the
-exponential lap growth as exact big integers.  The same endpoints recur
-across classes and steps, so each branch maps each orbit point once: a
-call makes at most 2n + 4 branch evaluations in all.
+enumerate the exponentially many laps, we start from the one lap [0, 1]
+of T^0 and keep one class per image interval with a multiplicity: a
+class straddling the discontinuity splits into its two branch images,
+any other class maps through the one branch covering it, and identical
+images merge by adding multiplicities.  Every class endpoint lies on a
+forward orbit of p, 0 or 1, so the number of classes grows linearly in
+n while the multiplicities carry the exponential lap growth as exact
+big integers.  The same endpoints recur across classes and steps, so
+each branch maps each orbit point once: at most 2n + 4 branch
+evaluations per call.
 
 The arithmetic is exact, as every map is, so classes merge only when
 their images are equal.  ``variation`` is the sum of lap-image lengths,
@@ -76,20 +77,14 @@ def _memo(branch):
 
 
 def lap_states(m: LorenzMap, n: int) -> list:
-    """LapState after each of the first n steps."""
+    """LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0."""
     if n < 1:
         raise DomainError("need at least one step")
     f0, f1 = (_memo(branch) for branch in (m.branches.f0, m.branches.f1))
-    p = m.p
-    # images of the two laps of T itself: [0, p) under f0 and [p, 1] under f1
-    zero, one = m.branches.f0.points[0][1], m.branches.f1.points[-1][1]
-    classes = {}
-    for img in ((zero, f0(p)), (f1(p), one)):
-        classes[img] = classes.get(img, 0) + 1
+    classes = {(Fraction(0), Fraction(1)): 1}
     out = []
     for step in range(1, n + 1):
-        if step > 1:
-            classes = _advance(classes, f0, f1, p)
+        classes = _advance(classes, f0, f1, m.p)
         if len(classes) > MAX_CLASSES:
             raise ResourceLimit(f"{len(classes)} interval classes at step {step} exceed the cap {MAX_CLASSES}")
         out.append(LapState(step, tuple(sorted(classes.items()))))
@@ -169,9 +164,8 @@ def _check_window(n: int, window: int) -> None:
 
 
 def _lap_estimate(states, window: int) -> EntropyEstimate:
-    # entropy_laps from the states of steps 1..n
+    # entropy_laps from the states of steps 1..n; the caller has checked the window
     n = len(states)
-    _check_window(n, window)
     k = n - window
     start = max(k - window, 0)
     # ln Var(T^j) at the three steps read; Var(T^0) = 1

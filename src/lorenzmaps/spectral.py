@@ -320,8 +320,6 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
     hit = _first_crossing(xi, xs, vals, events)
     if hit is not None:
         x_hi, v_hi, x_lo, v_lo = hit
-        if v_hi == 0.0:
-            return RootResult(float(x_hi), 0.0, (float(x_hi), float(x_hi)), ODD_CROSSING)
         gamma, residual, bracket = _bisect_root(f, float(x_lo), float(x_hi), float(v_lo), float(v_hi), tol)
         return RootResult(gamma, residual, bracket, ODD_CROSSING)
 

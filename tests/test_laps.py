@@ -72,6 +72,13 @@ class TestLapCount:
         for n in (5, 9, 13):
             assert lap_count(half_map, n)[1] == F(3, 2) ** n
 
+    def test_doubling_map_from_one_lap(self):
+        # a = b = p = 1/2: both laps of T map onto [0, 1], so step 1 already merges them
+        m = LorenzMap(BranchPair(BranchSpec(((0, 0), (F(1, 2), 1))), BranchSpec(((F(1, 2), 0), (1, 1)))), F(1, 2))
+        assert lap_states(m, 1)[0].classes == (((0, 1), 2),)
+        for n in range(1, 13):
+            assert lap_count(m, n) == (2**n, 2**n)
+
     def test_upper_lower_agree(self):
         bp = make_affine_pair(F(11, 10), F(19, 10))
         up = LorenzMap(bp, F(7, 10), UPPER)

@@ -17,6 +17,7 @@ from lorenzmaps import (
     MissingPeriodicForm,
     NoRootFound,
     ODD_CROSSING,
+    RootResult,
     TANGENTIAL,
     XiPolynomial,
     csv_text,
@@ -203,6 +204,12 @@ class TestMaxRoot:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(DomainError):
             max_root(XiPolynomial((1, -1, -1)), 1.05, 2.0, math.nan)
+
+    def test_zero_at_the_top_node_is_the_root(self):
+        # 1 - 2/x is exactly 0.0 at x = 2, the first node of the scan; the crossing's zero
+        # endpoint is the root itself, with a degenerate bracket
+        res = max_root(_FloatSeries((1.0, -2.0)), 1.5, 2.0, 1e-8)
+        assert res == RootResult(2.0, 0.0, (2.0, 2.0), ODD_CROSSING)
 
 
 class TestBracketSanity:

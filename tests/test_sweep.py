@@ -2,6 +2,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +321,22 @@ class TestCsv:
         data = target.read_bytes()
         assert data.decode("utf-8") == csv_text(uniform_records)
         assert b"\r" not in data
+
+
+#: the paper pair's sweep files, written at the commit that introduced this test; a change
+#: that alters a row must regenerate the file and say why
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestPaperCurveBytes:
+    @pytest.mark.parametrize(
+        "name, points, method",
+        [("paper_400_spectral.csv", 400, "spectral"), ("paper_12_laps.csv", 12, "laps")],
+    )
+    def test_byte_identical(self, name, points, method):
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        got = csv_text(sweep(bp, F(9, 19), F(10, 11), points, method)).split("\n")
+        want = (GOLDEN / name).read_bytes().decode("utf-8").split("\n")
+        for row, (line, expected) in enumerate(zip(got, want)):
+            assert line == expected, f"{name}: row {row} differs"
+        assert len(got) == len(want), f"{name}: {len(got)} lines, expected {len(want)}"

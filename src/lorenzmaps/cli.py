@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from .errors import InvalidBranch, LorenzError, NoRootFound, ResourceLimit
 from .kneading import kneading_prefixes
@@ -106,18 +106,6 @@ def _json_number(value):
     return number if value == 0 or abs(number) >= sys.float_info.min else fmt_number(value)
 
 
-def _workers(args) -> int | None:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    env = os.environ.get("LORENZ_WORKERS")
-    if not env:
-        return None
-    try:
-        return _above(int, 0)(env)
-    except argparse.ArgumentTypeError as exc:
-        raise LorenzError(f"LORENZ_WORKERS: {exc}") from exc
-
-
 def _cmd_entropy(args) -> int:
     p = parse_scalar(args.p)
     est = estimate(_load_pair(args), p, args.method, n=args.n, tol=args.tol, window=args.window)
@@ -154,7 +142,10 @@ def _cmd_laps(args) -> int:
 
 def _cmd_sweep(args) -> int:
     bp = _load_pair(args)
-    workers = _workers(args)
+    for option, path in (("--out", args.out), ("--features-out", args.features_out)):
+        # a missing directory is caught before any point runs; an unwritable one still fails at the write
+        if path and not Path(path).parent.is_dir():
+            raise LorenzError(f"{option} {path!r}: its directory does not exist")
     records = sweep(
         bp,
         parse_scalar(args.p_min),
@@ -164,7 +155,7 @@ def _cmd_sweep(args) -> int:
         n=args.n,
         tol=args.tol,
         window=args.window,
-        workers=workers,
+        workers=args.workers,
     )
     if args.format == "json":
         _emit([record_row(r.p, r.estimate, r.status) for r in records], args.out)
@@ -180,7 +171,7 @@ def _cmd_sweep(args) -> int:
                 records,
                 features,
                 prominence_tol=args.prominence,
-                workers=workers,
+                workers=args.workers,
             )
         _emit([asdict(f) for f in features], args.features_out)
     return 0
@@ -189,10 +180,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     bp = _load_pair(args)
     _check_window(args.laps_n, args.window)
-    workers = _workers(args)
     grid = (bp, parse_scalar(args.p_min), parse_scalar(args.p_max), args.points)
-    spectral = sweep(*grid, SPECTRAL, n=args.spectral_n, tol=args.tol, workers=workers)
-    laps_records = sweep(*grid, LAPS, n=args.laps_n, window=args.window, workers=workers)
+    spectral = sweep(*grid, SPECTRAL, n=args.spectral_n, tol=args.tol, workers=args.workers)
+    laps_records = sweep(*grid, LAPS, n=args.laps_n, window=args.window, workers=args.workers)
     max_diff, mean_diff, worst_p = compare_methods(spectral, laps_records)
     _emit(
         {

@@ -51,10 +51,6 @@ class KneadingPair:
             if any(word[k + period] != word[k] for k in range(len(word) - period)):
                 raise DomainError(f"word {word!r} is not {period}-periodic")
 
-    @property
-    def length(self) -> int:
-        return len(self.alpha)
-
 
 def itinerary(m: LorenzMap, x, n: int) -> str:
     """First n itinerary symbols of x under m (n >= 1); a float x is read at its binary64 value."""

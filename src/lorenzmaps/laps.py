@@ -21,6 +21,7 @@ slope-b pair it equals b^n to the last digit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,24 +64,12 @@ def _advance(classes, f0, f1, p):
     return new
 
 
-def _memo(branch):
-    # the branch, mapping each point once; one dict per lap_states call
-    images = {}
-
-    def image(x):
-        y = images.get(x)
-        if y is None:
-            y = images[x] = branch(x)
-        return y
-
-    return image
-
-
 def lap_states(m: LorenzMap, n: int) -> list:
     """LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0."""
     if n < 1:
         raise DomainError("need at least one step")
-    f0, f1 = (_memo(branch) for branch in (m.branches.f0, m.branches.f1))
+    # each branch maps each orbit point once; the caches live for this call only
+    f0, f1 = (functools.cache(branch) for branch in (m.branches.f0, m.branches.f1))
     classes = {(Fraction(0), Fraction(1)): 1}
     out = []
     for step in range(1, n + 1):

@@ -117,18 +117,6 @@ class BranchSpec:
     def slopes(self) -> tuple:
         return self._slopes
 
-    @property
-    def slope_min(self) -> Scalar:
-        return min(self._slopes)
-
-    @property
-    def slope_max(self) -> Scalar:
-        return max(self._slopes)
-
-    @property
-    def kind(self) -> str:
-        return "affine" if len(self.points) == 2 else "pwl"
-
     @classmethod
     def affine_from_zero(cls, slope) -> "BranchSpec":
         """The branch x -> slope*x on [0, 1/slope]; the usual f0."""
@@ -193,14 +181,11 @@ class BranchPair:
 
     @property
     def c_min(self) -> Scalar:
-        return min(self.f0.slope_min, self.f1.slope_min)
+        return min(self.f0.slopes + self.f1.slopes)
 
     @property
     def c_max(self) -> Scalar:
-        return max(self.f0.slope_max, self.f1.slope_max)
-
-    def to_json_dict(self) -> dict:
-        return {"f0": _branch_json(self.f0), "f1": _branch_json(self.f1)}
+        return max(self.f0.slopes + self.f1.slopes)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BranchPair":
@@ -209,12 +194,6 @@ class BranchPair:
         except (TypeError, KeyError) as exc:
             raise InvalidBranch("branch JSON needs 'f0' and 'f1' entries") from exc
         return cls(_branch_from_json(f0_obj, "f0"), _branch_from_json(f1_obj, "f1"))
-
-
-def _branch_json(spec: BranchSpec) -> dict:
-    if spec.kind == "affine":
-        return {"type": "affine", "slope": str(spec.slopes[0])}
-    return {"type": "pwl", "points": [[str(x), str(y)] for x, y in spec.points]}
 
 
 def _branch_from_json(obj: dict, role: str) -> BranchSpec:

@@ -201,9 +201,10 @@ def _bisect_root(f, xl, xr, vl, vr, tol, max_iter=200):
 
 
 def _grid_x(lo, hi, num, idx):
-    """np.linspace(hi, lo, num + 1)[idx], computed at the integer indices idx alone.
+    """The descending grid of num + 1 points from hi to lo, computed at the integer indices idx alone.
 
-    linspace rounds i * step and then + hi, and stores lo at i = num; so do we.
+    Its values are numpy linspace's, bit for bit: linspace rounds i * step
+    and then + hi, and stores lo at i = num; so do we.
     """
     xs = idx * ((lo - hi) / num) + hi
     xs[idx == num] = lo
@@ -224,7 +225,7 @@ def _horner_error(xi, x):
 
 
 def _scan(xi, lo, hi, num):
-    """The cells of the descending grid np.linspace(hi, lo, num + 1) that may hold a crossing.
+    """The cells of the descending grid _grid_x(lo, hi, num, ...) that may hold a crossing.
 
     The grid's cells fall into ranges of RANGE_CELLS; the range nodes are
     evaluated first, up to the first range whose end values change sign
@@ -324,7 +325,7 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
         return RootResult(gamma, residual, bracket, ODD_CROSSING)
 
     # no crossing anywhere: the tangential search reads the whole descending grid
-    xs = np.linspace(hi, lo, num + 1)
+    xs = _grid_x(lo, hi, num, np.arange(num + 1))
     vals = _eval_grid(xi.coeffs, xs)
     if np.all(vals < 0.0):
         raise NoRootFound("series is negative throughout the bracket")

@@ -5,10 +5,13 @@ The expensive sweeps (the 200/1000/4000-point scans of the affine pair
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import json
 import math
 import os
 import random
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -122,11 +125,17 @@ def test_criterion_2_cross_method_agreement(grid200):
     )
 
 
-def test_criterion_3_nonmonotonicity(affine_pair, sweep4000):
+@pytest.fixture(scope="module")
+def confirmed4000(affine_pair, sweep4000):
     features = detect_nonmonotonic(sweep4000, 1e-5)
-    confirmed = cross_confirm_features(
+    return cross_confirm_features(
         affine_pair, sweep4000, features[:4], prominence_tol=1e-5, workers=WORKERS,
     )
+
+
+def test_criterion_3_nonmonotonicity(sweep4000, confirmed4000):
+    features = detect_nonmonotonic(sweep4000, 1e-5)
+    confirmed = confirmed4000
     best = confirmed[0].prominence if confirmed else 0.0
     report(
         3,
@@ -134,6 +143,12 @@ def test_criterion_3_nonmonotonicity(affine_pair, sweep4000):
         len(confirmed) >= 1 and best >= 1e-5,
         f"({len(features)} candidates, {len(confirmed)} confirmed, best prominence {best:.2e})",
     )
+
+
+def test_confirmed_features_bytes(confirmed4000):
+    # the confirmed features as `sweep --features-out` writes them, byte for byte
+    got = json.dumps([asdict(f) for f in confirmed4000]) + "\n"
+    assert got == (Path(__file__).parent / "data" / "paper_4000_features.json").read_bytes().decode("utf-8")
 
 
 def test_criterion_4_empirical_continuity(sweep1000, sweep4000):

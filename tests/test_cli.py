@@ -255,16 +255,6 @@ class TestSweepCommand:
         assert row["status"] == "no-root"
         assert all(row[key] is None for key in entropy_keys if key != "p")
 
-    def test_bad_workers_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("LORENZ_WORKERS", "abc")
-        code, _, err = run_cli(
-            capsys,
-            "sweep", "--b0", "1.5", "--b1", "1.5",
-            "--p-min", "0.45", "--p-max", "0.55", "--points", "3", "--n", "60",
-        )
-        assert code == 2
-        assert err.startswith("error:") and "LORENZ_WORKERS" in err
-
     def test_features_out_confirmed(self, capsys, tmp_path):
         feats = tmp_path / "features.json"
         code, _, _ = run_cli(
@@ -384,29 +374,30 @@ class TestArgumentHandling:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "nan"], None),
-            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "inf"], None),
-            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol=-1e-7"], None),
-            (SWEEP_ARGS + ["--prominence", "nan", "--features-out", "unwritten.json"], None),
-            (SWEEP_ARGS + ["--tol", "nan"], None),
-            (SWEEP_ARGS + ["--workers", "0"], None),
-            (SWEEP_ARGS + ["--workers", "-3"], None),
-            (SWEEP_ARGS, "0"),
-            (SWEEP_ARGS + ["--max-features", "-1", "--features-out", "unwritten.json"], None),
-            (SWEEP_ARGS + ["--max-features", "-3", "--features-out", "unwritten.json"], None),
-            (["compare"] + SWEEP_ARGS[1:] + ["--tol", "nan"], None),
-            (["compare"] + SWEEP_ARGS[1:] + ["--workers", "0"], None),
+            ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "nan"],
+            ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "inf"],
+            ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol=-1e-7"],
+            SWEEP_ARGS + ["--prominence", "nan", "--features-out", "unwritten.json"],
+            SWEEP_ARGS + ["--tol", "nan"],
+            SWEEP_ARGS + ["--workers", "0"],
+            SWEEP_ARGS + ["--workers", "-3"],
+            SWEEP_ARGS + ["--max-features", "-1", "--features-out", "unwritten.json"],
+            SWEEP_ARGS + ["--max-features", "-3", "--features-out", "unwritten.json"],
+            ["compare"] + SWEEP_ARGS[1:] + ["--tol", "nan"],
+            ["compare"] + SWEEP_ARGS[1:] + ["--workers", "0"],
+            SWEEP_ARGS + ["--out", "missing/unwritten.csv"],
+            SWEEP_ARGS + ["--features-out", "missing/unwritten.json"],
         ],
         ids=[
             "entropy-tol-nan", "entropy-tol-inf", "entropy-tol-negative",
             "sweep-prominence-nan", "sweep-tol-nan", "sweep-workers-0", "sweep-workers-negative",
-            "LORENZ_WORKERS-0", "max-features-minus-1", "max-features-minus-3",
-            "compare-tol-nan", "compare-workers-0",
+            "max-features-minus-1", "max-features-minus-3",
+            "compare-tol-nan", "compare-workers-0", "out-directory-missing", "features-out-directory-missing",
         ],
     )
-    def test_out_of_range_value_exit_2(self, capsys, monkeypatch, tmp_path, argv, env):
+    def test_out_of_range_value_exit_2(self, capsys, monkeypatch, tmp_path, argv):
         import lorenzmaps.cli as cli_module
 
         def evaluated(*args, **kwargs):
@@ -415,14 +406,12 @@ class TestArgumentHandling:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_spectral", evaluated)
         monkeypatch.setattr(cli_module, "sweep", evaluated)
-        if env is not None:
-            monkeypatch.setenv("LORENZ_WORKERS", env)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert any(line.startswith("error:") or ": error:" in line for line in err.splitlines())
         assert "Traceback" not in err
-        assert not (tmp_path / "unwritten.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "content",

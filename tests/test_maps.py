@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,13 @@ class TestBranchEval:
                 continue
             x, y = min(x, y), max(x, y)
             assert spec(x) < spec(y)
+
+    def test_pwl_slope_extremes_exact(self):
+        # slopes 3/2, 5/4 on f0 and 5/2, 3/2 on f1: the extremes lie on different branches
+        f0 = BranchSpec(((0, 0), (F(1, 2), F(3, 4)), (F(7, 10), 1)))
+        f1 = BranchSpec(((F(2, 5), 0), (F(1, 2), F(1, 4)), (1, 1)))
+        pair = BranchPair(f0, f1)
+        assert (pair.c_min, pair.c_max) == (F(5, 4), F(5, 2))
 
     def test_expansion_bounds(self):
         pwl = BranchSpec(((0, 0), (F(1, 4), F(3, 5)), (F(1, 2), 1)))
@@ -288,24 +297,23 @@ class TestBranchSpecValidation:
 
 
 class TestSerialization:
-    def test_affine_roundtrip(self):
-        bp = make_affine_pair(F(11, 10), F(19, 10))
-        obj = bp.to_json_dict()
-        assert obj == {
-            "f0": {"type": "affine", "slope": "11/10"},
-            "f1": {"type": "affine", "slope": "19/10"},
-        }
-        back = BranchPair.from_json_dict(obj)
-        assert back == bp
+    def test_affine_read(self):
+        obj = {"f0": {"type": "affine", "slope": "11/10"}, "f1": {"type": "affine", "slope": "19/10"}}
+        assert BranchPair.from_json_dict(obj) == make_affine_pair(F(11, 10), F(19, 10))
 
-    def test_pwl_roundtrip(self):
+    def test_pwl_read(self):
         f0 = BranchSpec(((0, 0), (F(1, 2), F(3, 4)), (F(7, 10), 1)))
-        f1 = BranchSpec.affine_to_one(F(2, 1))
-        bp = BranchPair(f0, f1)
-        obj = bp.to_json_dict()
-        assert obj["f0"]["type"] == "pwl"
-        assert obj["f0"]["points"][1] == ["1/2", "3/4"]
-        assert BranchPair.from_json_dict(obj) == bp
+        obj = {
+            "f0": {"type": "pwl", "points": [["0", "0"], ["1/2", "3/4"], ["7/10", "1"]]},
+            "f1": {"type": "affine", "slope": "2"},
+        }
+        assert BranchPair.from_json_dict(obj) == BranchPair(f0, BranchSpec.affine_to_one(F(2, 1)))
+
+    def test_readme_example_read(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        obj = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        f1 = BranchSpec(((F(9, 19), 0), (F(3, 4), F(1, 2)), (1, 1)))
+        assert BranchPair.from_json_dict(obj) == BranchPair(BranchSpec.affine_from_zero(F(11, 10)), f1)
 
     def test_unknown_type(self):
         with pytest.raises(InvalidBranch):

@@ -151,16 +151,11 @@ class TestPoolSize:
         sweep(bp, F(2, 5), F(3, 5), 3, "spectral", n=40, workers=8)
         assert recording_pool == []
 
-    @pytest.mark.parametrize("source", ["option", "environment"])
-    def test_cli_huge_worker_count(self, recording_pool, monkeypatch, capsys, source):
+    def test_cli_huge_worker_count(self, recording_pool, capsys):
         from lorenzmaps.cli import main
 
         argv = ["sweep", "--b0", "1.5", "--b1", "1.5", "--p-min", "2/5", "--p-max", "3/5", "--points", "3",
-                "--n", "40"]
-        if source == "option":
-            argv += ["--workers", "100000"]
-        else:
-            monkeypatch.setenv("LORENZ_WORKERS", "100000")
+                "--n", "40", "--workers", "100000"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert recording_pool == [3]

@@ -4,8 +4,8 @@ Subcommands: entropy, kneading, laps, sweep, compare.  Single-point
 commands print JSON to stdout; sweep writes CSV (or JSON) to --out or
 stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
 read exactly, and every command evaluates the validated exact map.
-entropy runs the sweep's point function, so it prints the sweep row's
-estimate at p; p itself is printed as text where binary64 cannot hold it.
+entropy, and laps for the lap method, print the sweep row's estimate at p
+by the sweep's own path; p is printed as text where binary64 cannot hold it.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import InvalidBranch, LorenzError, NoRootFound, ResourceLimit
 from .kneading import kneading_prefixes
-from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, _lap_estimate, lap_states
+from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, lap_report
 from .maps import UPPER, BranchPair, LorenzMap, fmt_number, make_affine_pair, parse_scalar
 from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL
 from .sweep import (
@@ -121,17 +121,15 @@ def _cmd_kneading(args) -> int:
 
 def _cmd_laps(args) -> int:
     m = LorenzMap(_load_pair(args), parse_scalar(args.p), UPPER)
-    _check_window(args.n, args.window)
-    states = lap_states(m, args.n)
-    est = _lap_estimate(states, args.window)
-    laps = states[-1].total_laps
+    est, state = lap_report(m, args.n, args.window)
+    laps = state.total_laps
     _emit(
         {
             "p": _json_number(m.p),
             "order": args.n,
             "window": args.window,
             "laps": str(laps),
-            "variation": _json_number(states[-1].total_variation),
+            "variation": _json_number(state.total_variation),
             "entropy": est.entropy,
             "lap_rate": math.log(laps) / args.n,
             "error_bound": est.error_bound,
@@ -143,9 +141,9 @@ def _cmd_laps(args) -> int:
 def _cmd_sweep(args) -> int:
     bp = _load_pair(args)
     for option, path in (("--out", args.out), ("--features-out", args.features_out)):
-        # a missing directory is caught before any point runs; an unwritable one still fails at the write
-        if path and not Path(path).parent.is_dir():
-            raise LorenzError(f"{option} {path!r}: its directory does not exist")
+        # a directory, or a path in a missing one, is caught before any point runs; an unwritable one fails at the write
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise LorenzError(f"{option} {path!r}: not a file in an existing directory")
     records = sweep(
         bp,
         parse_scalar(args.p_min),

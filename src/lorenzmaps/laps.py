@@ -16,7 +16,9 @@ evaluations per call.
 The arithmetic is exact, as every map is, so classes merge only when
 their images are equal.  ``variation`` is the sum of lap-image lengths,
 the quantity whose exponential growth rate is the entropy; for a uniform
-slope-b pair it equals b^n to the last digit.
+slope-b pair it equals b^n to the last digit.  ``lap_report`` propagates
+once and returns the windowed estimate with the LapState of T^n: ``laps``
+prints both, and ``entropy_laps``, which each lap sweep row runs, the estimate.
 """
 
 from __future__ import annotations
@@ -143,8 +145,7 @@ def entropy_laps(
     window shortened when n < 2*window), and the estimate is never
     certified.
     """
-    _check_window(n, window)
-    return _lap_estimate(lap_states(m, n), window)
+    return lap_report(m, n, window)[0]
 
 
 def _check_window(n: int, window: int) -> None:
@@ -152,9 +153,10 @@ def _check_window(n: int, window: int) -> None:
         raise DomainError("need n > window >= 1")
 
 
-def _lap_estimate(states, window: int) -> EntropyEstimate:
-    # entropy_laps from the states of steps 1..n; the caller has checked the window
-    n = len(states)
+def lap_report(m: LorenzMap, n: int, window: int):
+    """(entropy_laps(m, n, window), the LapState of T^n), from one lap_states call."""
+    _check_window(n, window)
+    states = lap_states(m, n)
     k = n - window
     start = max(k - window, 0)
     # ln Var(T^j) at the three steps read; Var(T^0) = 1
@@ -162,4 +164,4 @@ def _lap_estimate(states, window: int) -> EntropyEstimate:
     slope = (lv[n] - lv[k]) / window
     prev = (lv[k] - lv[start]) / (k - start)
     error = abs(slope - prev)
-    return EntropyEstimate(slope, math.exp(slope), LAPS, n, error, False)
+    return EntropyEstimate(slope, math.exp(slope), LAPS, n, error, False), states[-1]

@@ -178,13 +178,13 @@ def _eval_grid(coeffs, xs):
     return acc
 
 
-def _bisect_root(f, xl, xr, vl, vr, tol, max_iter=200):
-    """Refine a sign change on [xl, xr] (f(xl)=vl, f(xr)=vr, vl*vr < 0)."""
+def _bisect_root(f, xl, xr, vl, vr, tol):
+    """Refine a sign change on [xl, xr] (f(xl)=vl, f(xr)=vr, vl*vr < 0) by at most 200 halvings."""
     if vr == 0.0:
         return xr, 0.0, (xr, xr)
     if vl == 0.0:
         return xl, 0.0, (xl, xl)
-    for _ in range(max_iter):
+    for _ in range(200):
         xm = 0.5 * (xl + xr)
         vm = f(xm)
         if vm == 0.0:

@@ -148,14 +148,14 @@ class TestLapsCommand:
         assert payload["lap_rate"] > 0
 
     def test_exact_variation_past_binary64(self, capsys, monkeypatch):
-        import lorenzmaps.cli as cli_module
+        import lorenzmaps.laps as laps_module
         from lorenzmaps import LapState
 
         # one class of length 1/7 carrying 10^(330+k) laps at step k
         def huge_states(m, n):
             return [LapState(k, (((Fraction(0), Fraction(1, 7)), 10 ** (330 + k)),)) for k in range(1, n + 1)]
 
-        monkeypatch.setattr(cli_module, "lap_states", huge_states)
+        monkeypatch.setattr(laps_module, "lap_states", huge_states)
         code, out, err = run_cli(
             capsys, "laps", "--b0", "3/2", "--b1", "3/2", "--p", "3/5", "--n", "20", "--window", "5"
         )
@@ -389,12 +389,15 @@ class TestArgumentHandling:
             ["compare"] + SWEEP_ARGS[1:] + ["--workers", "0"],
             SWEEP_ARGS + ["--out", "missing/unwritten.csv"],
             SWEEP_ARGS + ["--features-out", "missing/unwritten.json"],
+            SWEEP_ARGS + ["--out", "."],
+            SWEEP_ARGS + ["--features-out", "."],
         ],
         ids=[
             "entropy-tol-nan", "entropy-tol-inf", "entropy-tol-negative",
             "sweep-prominence-nan", "sweep-tol-nan", "sweep-workers-0", "sweep-workers-negative",
             "max-features-minus-1", "max-features-minus-3",
             "compare-tol-nan", "compare-workers-0", "out-directory-missing", "features-out-directory-missing",
+            "out-is-directory", "features-out-is-directory",
         ],
     )
     def test_out_of_range_value_exit_2(self, capsys, monkeypatch, tmp_path, argv):
@@ -475,6 +478,44 @@ class TestSinglePointMatchesSweep:
             payload = json.loads(out)
             assert [format(payload[k], ".17g") for k in keys] == [row[k] for k in keys]
 
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            None,
+            {"f0": {"type": "affine", "slope": "11/10"},
+             "f1": {"type": "pwl", "points": [["9/19", "0"], ["3/4", "1/2"], ["1", "1"]]}},
+        ],
+        ids=["paper-pair", "affine-pwl-branches"],
+    )
+    def test_laps_prints_the_lap_sweep_row(self, capsys, monkeypatch, tmp_path, branches):
+        # laps, entropy --method laps and each lap sweep point run one lap path, propagating once
+        import lorenzmaps.laps as laps_module
+
+        pair = ["--b0", "1.1", "--b1", "1.9"]
+        if branches is not None:
+            spec_file = tmp_path / "pair.json"
+            spec_file.write_text(json.dumps(branches))
+            pair = ["--branches", str(spec_file)]
+        code, out, err = run_cli(
+            capsys, "sweep", *pair, "--method", "laps", "--p-min", "3/5", "--p-max", "4/5", "--points", "3",
+            "--format", "json", "--workers", "1",
+        )
+        assert code == 0, err
+        rows = json.loads(out)
+        calls = []
+        propagate = laps_module.lap_states
+        monkeypatch.setattr(laps_module, "lap_states", lambda m, n: calls.append(n) or propagate(m, n))
+        keys = ("p", "entropy", "error_bound", "order")
+        for p, row in zip(("3/5", "7/10", "4/5"), rows):
+            assert row["p"] == float(Fraction(p))
+            for command in (["laps"], ["entropy", "--method", "laps"]):
+                calls.clear()
+                code, out, err = run_cli(capsys, *command, *pair, "--p", p)
+                assert code == 0, err
+                assert calls == [50]
+                payload = json.loads(out)
+                assert [payload[k] for k in keys] == [row[k] for k in keys]
+
     def test_p_equal_to_a_accepted(self, capsys):
         # a = (1.02 - 1)/1.02 = 1/51 exactly
         code, out, err = run_cli(capsys, "entropy", "--b0", "1.01", "--b1", "1.02", "--p", "1/51")
@@ -522,10 +563,11 @@ class TestInputErrorsBeforeWork:
     )
     def test_lap_window_checked_before_work(self, capsys, monkeypatch, argv):
         import lorenzmaps.cli as cli_module
+        import lorenzmaps.laps as laps_module
 
         calls = []
         monkeypatch.setattr(cli_module, "sweep", lambda *args, **kwargs: calls.append("sweep"))
-        monkeypatch.setattr(cli_module, "lap_states", lambda *args, **kwargs: calls.append("lap_states"))
+        monkeypatch.setattr(laps_module, "lap_states", lambda *args, **kwargs: calls.append("lap_states"))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

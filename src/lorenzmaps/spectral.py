@@ -330,7 +330,8 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
     if np.all(vals < 0.0):
         raise NoRootFound("series is negative throughout the bracket")
 
-    # no crossing: look for a tangential root at the minimum (the only scipy use, so imported here)
+    # no crossing: look for a tangential root at the minimum; the package's only scipy use,
+    # imported here so that neither the package nor a sweep loads scipy until a point needs it
     from scipy.optimize import minimize_scalar
     j = int(np.argmin(vals))
     left = float(xs[min(j + 1, len(xs) - 1)])

@@ -159,31 +159,86 @@ def _ok_arrays(records):
     return ok, ps, hs
 
 
+def _peaks(x: list, tol: float) -> list:
+    """(peak, prominence, left_ip, right_ip) of every peak of ``x`` with prominence >= tol.
+
+    The rule, and every float operation in its order, of
+    ``scipy.signal.find_peaks(x, prominence=tol, width=0, rel_height=1.0)``,
+    so each value is bit-identical to scipy's.  A peak is a strict rise then
+    a strict fall; a plateau counts once, at its middle (rounded down), and
+    the end points never count.  Its prominence is its height above the
+    higher of the two lowest values reached walking each way while no value
+    exceeds it.  Its edges are where the curve crosses the contour at the
+    full prominence below it, interpolated between samples.  Peaks come in
+    index order.
+    """
+    found = []
+    i, last = 1, len(x) - 1
+    while i < last:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < last and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                found.append(_prominent_peak(x, (i + ahead - 1) // 2, tol))
+                i = ahead
+        i += 1
+    return [peak for peak in found if peak is not None]
+
+
+def _prominent_peak(x: list, peak: int, tol: float):
+    """(peak, prominence, left_ip, right_ip) of the peak at ``peak``, or None below tol."""
+    top = x[peak]
+    bases = []  # (index, value) of the lowest point on each side, nearest the peak on ties
+    for step in (-1, 1):
+        i, base, low = peak, peak, top
+        while 0 <= i < len(x) and x[i] <= top:
+            if x[i] < low:
+                base, low = i, x[i]
+            i += step
+        bases.append((base, low))
+    (left_base, left_min), (right_base, right_min) = bases
+    prominence = top - max(left_min, right_min)
+    if not tol <= prominence:
+        return None
+    height = top - prominence  # the contour at rel_height 1.0 (prominence * 1.0 is exact)
+    i = peak
+    while left_base < i and height < x[i]:
+        i -= 1
+    left = float(i)
+    if x[i] < height:
+        left += (height - x[i]) / (x[i + 1] - x[i])
+    i = peak
+    while i < right_base and height < x[i]:
+        i += 1
+    right = float(i)
+    if x[i] < height:
+        right -= (height - x[i]) / (x[i - 1] - x[i])
+    return peak, prominence, left, right
+
+
 def detect_nonmonotonic(records, prominence_tol: float) -> list:
     """Dips and bumps of the entropy curve with depth >= prominence_tol.
 
     Returns features sorted by prominence, largest first; empty when the
-    curve is monotone at the requested resolution.
+    curve is monotone at the requested resolution.  A bump is a peak of the
+    curve and a dip a peak of its negation (``_peaks``); a feature spans
+    the peak's full-prominence edges, mapped from index to p linearly.
     """
     if not prominence_tol > 0:
         raise DomainError("prominence tolerance must be positive")
-    from scipy.signal import find_peaks  # imported on first use: scipy dominates the package's import time
     _, ps, hs = _ok_arrays(records)
     if len(ps) < 3:
         return []
     idx_axis = np.arange(len(ps))
     features = []
     for sign, direction in ((1.0, BUMP), (-1.0, DIP)):
-        # rel_height=1.0 puts the feature edges at the full-prominence contour
-        peaks, props = find_peaks(sign * hs, prominence=prominence_tol, width=0, rel_height=1.0)
-        for idx in range(len(peaks)):
-            lo = float(np.interp(props["left_ips"][idx], idx_axis, ps))
-            hi = float(np.interp(props["right_ips"][idx], idx_axis, ps))
+        for _, prominence, left, right in _peaks((sign * hs).tolist(), prominence_tol):
             features.append(
                 NonMonotoneFeature(
-                    p_low=lo,
-                    p_high=hi,
-                    prominence=float(props["prominences"][idx]),
+                    p_low=float(np.interp(left, idx_axis, ps)),
+                    p_high=float(np.interp(right, idx_axis, ps)),
+                    prominence=prominence,
                     direction=direction,
                 )
             )

@@ -13,13 +13,17 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lorenzmaps import (
+    BUMP,
+    DIP,
     LOWER,
     UPPER,
     KneadingPair,
     LorenzMap,
+    NonMonotoneFeature,
     NoRootFound,
     XiPolynomial,
     compare_lex,
@@ -149,6 +153,25 @@ def test_confirmed_features_bytes(confirmed4000):
     # the confirmed features as `sweep --features-out` writes them, byte for byte
     got = json.dumps([asdict(f) for f in confirmed4000]) + "\n"
     assert got == (Path(__file__).parent / "data" / "paper_4000_features.json").read_bytes().decode("utf-8")
+
+
+def test_peak_rule_matches_scipy_on_the_paper_curve(sweep4000):
+    # the built-in peak rule gives scipy.signal.find_peaks' features, bit for bit, on the paper curve
+    from scipy.signal import find_peaks
+
+    ps = np.array([float(r.p) for r in sweep4000 if r.status == "ok"])
+    hs = np.array([r.estimate.entropy for r in sweep4000 if r.status == "ok"])
+    idx = np.arange(len(ps))
+    expected = []
+    for sign, direction in ((1.0, BUMP), (-1.0, DIP)):
+        _, props = find_peaks(sign * hs, prominence=1e-5, width=0, rel_height=1.0)
+        for left, right, prominence in zip(props["left_ips"], props["right_ips"], props["prominences"]):
+            lo, hi = float(np.interp(left, idx, ps)), float(np.interp(right, idx, ps))
+            expected.append(NonMonotoneFeature(lo, hi, float(prominence), direction))
+    expected.sort(key=lambda f: (-f.prominence, f.p_low))
+    got = detect_nonmonotonic(sweep4000, 1e-5)
+    assert len(got) == 294
+    assert json.dumps([asdict(f) for f in got]) == json.dumps([asdict(f) for f in expected])
 
 
 def test_criterion_4_empirical_continuity(sweep1000, sweep4000):

@@ -669,6 +669,27 @@ class TestStartup:
         )
         assert result.stdout.strip() == "[]"
 
+    def test_feature_sweep_does_not_import_scipy_signal(self, tmp_path):
+        # confirmation workers fork from the sweep process, so every module it loads is resident in each
+        code = (
+            "import sys; from lorenzmaps.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(code, 'scipy.signal' in sys.modules)"
+        )
+        argv = [
+            "sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", "82/100", "--p-max", "84/100",
+            "--points", "40", "--n", "200", "--out", str(tmp_path / "curve.csv"),
+            "--features-out", str(tmp_path / "features.json"), "--max-features", "1", "--workers", "1",
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.split() == ["0", "False"]
+        # the paper's largest bump lies in this window, and the lap method confirms it
+        [feature] = json.loads((tmp_path / "features.json").read_text())
+        assert feature["direction"] == "bump"
+
 
 # a valid command with up to two numbers swapped for decimals with large exponents,
 # fractions or junk, so each odd number is also seen where everything else is valid

@@ -1,10 +1,13 @@
+import importlib
 import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lorenzmaps import (
     BUMP,
@@ -194,6 +197,40 @@ class TestDetectNonmonotonic:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(DomainError):
             detect_nonmonotonic([ok_record(0.1, 0.5)], math.nan)
+
+
+def _scipy_peaks(x, tol):
+    from scipy.signal import find_peaks
+
+    peaks, props = find_peaks(np.array(x, dtype=float), prominence=tol, width=0, rel_height=1.0)
+    return list(zip(peaks.tolist(), *(props[key].tolist() for key in ("prominences", "left_ips", "right_ips"))))
+
+
+def _bits(peaks):
+    return [(peak, *(float(v).hex() for v in values)) for peak, *values in peaks]
+
+
+# curves on 3 or 10 levels have plateaus, ties and prominences equal to the tolerances below
+_LEVEL_CURVES = st.sampled_from([2, 9]).flatmap(
+    lambda top: st.lists(st.integers(0, top).map(lambda v: v / top), max_size=40)
+)
+_FREE_CURVES = st.lists(st.floats(-1, 1, allow_nan=False), max_size=40)
+
+
+class TestPeakRule:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        x=st.one_of(_LEVEL_CURVES, _FREE_CURVES),
+        tol=st.sampled_from([1e-12, 1e-5, 1 / 9, 0.25, 0.5, 1.0, 2.0]),
+    )
+    @example(x=[], tol=0.5)
+    @example(x=[1.0, 0.0, 1.0], tol=0.5)  # maxima at both ends only
+    @example(x=[0.0, 1.0, 1.0, 1.0, 1.0, 0.0], tol=0.5)  # even plateau: the lower middle
+    @example(x=[0.0, 1.0, 1.0], tol=0.5)  # a plateau that reaches the end is no peak
+    @example(x=[0.0, 1.0, 0.5, 1.0], tol=0.5)  # prominence equal to the tolerance is kept
+    def test_matches_scipy_find_peaks(self, x, tol):
+        peaks = importlib.import_module("lorenzmaps.sweep")._peaks
+        assert _bits(peaks(x, tol)) == _bits(_scipy_peaks(x, tol))
 
 
 class TestCrossConfirm:

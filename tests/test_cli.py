@@ -17,6 +17,11 @@ from lorenzmaps.cli import main
 SWEEP_ARGS = [
     "sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11", "--points", "60",
 ]
+# at n = 8 the paper pair's two lowest grid points have no sign change in their bracket
+NO_ROOT_SWEEP_ARGS = [
+    "sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11", "--points", "8",
+    "--n", "8", "--workers", "1",
+]
 
 
 def run_cli(capsys, *argv):
@@ -79,19 +84,15 @@ class TestEntropyCommand:
         code, _, err = run_cli(capsys, "entropy", "--b0", "1.5", "--b1", "1.5", "--p", "0.1")
         assert code == 2
 
-    def test_no_root_exit_3(self, capsys, monkeypatch):
-        # valid maps always yield a root or a certified tangency, so force the error
-        from lorenzmaps import NoRootFound
-
-        def explode(*args, **kwargs):
-            raise NoRootFound("forced")
-
-        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_spectral", explode)
-        code, _, err = run_cli(
-            capsys, "entropy", "--b0", "1.5", "--b1", "1.5", "--p", "0.5"
-        )
-        assert code == 3
-        assert "forced" in err
+    def test_no_root_exit_3(self, capsys):
+        # these truncations change sign nowhere in their bracket; the second map is certified at n = 500
+        for argv in (["--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--n", "2"],
+                     ["--b0", "51/50", "--b1", "179/100", "--p", "79/179", "--n", "50"]):
+            code, out, err = run_cli(capsys, "entropy", *argv)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error:") and "changes sign nowhere" in err and "larger order" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_resource_limit_exit_4(self, capsys, monkeypatch):
         from lorenzmaps import ResourceLimit
@@ -194,6 +195,13 @@ class TestSweepCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 4
         assert lines[1].split(",")[-1] == "ok"
+
+    def test_no_root_rows(self, capsys):
+        code, out, err = run_cli(capsys, *NO_ROOT_SWEEP_ARGS)
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[-1] for row in rows] == ["no-root"] * 2 + ["ok"] * 6
+        assert all(field == "" for row in rows[:2] for field in row[1:-1])
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -614,10 +622,13 @@ class TestLargeNumbers:
         # b0 = 1.5 keeps the map's binary64 breakage, and its grid is distinct in binary64
         wide = ["sweep", "--b0", "1.5", "--b1", _B1_NEAR_1, "--p-min", "0.3", "--p-max", "0.6",
                 "--points", "3", "--workers", "1"]
-        for method in (laps, ["--n", "60"]):
-            code, out, err = run_cli(capsys, *wide, *method)
-            assert code == 0, err
-            assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
+        code, out, err = run_cli(capsys, *wide, *laps)
+        assert code == 0, err
+        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["ok"] * 3
+        # the root 1 + 10^-401 lies below the spectral bracket's floor, so no point finds a sign change
+        code, out, err = run_cli(capsys, *wide, "--n", "60")
+        assert code == 0, err
+        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["no-root"] * 3
 
     def test_entropy_of_a_pair_binary64_breaks(self, capsys):
         argv = ["entropy", "--b0", "1e400", "--b1", _B1_NEAR_1, "--p", "5e-401"]
@@ -625,10 +636,11 @@ class TestLargeNumbers:
         code, out, err = run_cli(capsys, *argv, *laps)
         assert code == 0, err
         assert json.loads(out)["entropy"] > 0
-        # the default spectral method at its default n
+        # the default spectral method at its default n: the root 1 + 10^-401 lies below the bracket floor
         code, out, err = run_cli(capsys, *argv)
-        assert code == 0, err
-        assert json.loads(out)["entropy"] > 0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "changes sign nowhere" in err and "Traceback" not in err
 
     def test_grid_oracle_names_binary64(self):
         # the grid oracle samples the map's binary64 rounding, which this pair does not survive
@@ -641,7 +653,8 @@ class TestLargeNumbers:
 
     @pytest.mark.parametrize(
         "argv",
-        [["entropy", "--n", "40"], ["kneading", "--n", "8"], ["laps", "--n", "12"]],
+        [["entropy", "--method", "laps", "--n", "12", "--window", "4"], ["kneading", "--n", "8"],
+         ["laps", "--n", "12"]],
         ids=["entropy", "kneading", "laps"],
     )
     def test_p_past_binary64_printed_as_text(self, capsys, argv):
@@ -689,6 +702,20 @@ class TestStartup:
         # the paper's largest bump lies in this window, and the lap method confirms it
         [feature] = json.loads((tmp_path / "features.json").read_text())
         assert feature["direction"] == "bump"
+
+    def test_sweep_with_no_root_rows_loads_no_scipy(self):
+        # a point whose truncation changes sign nowhere raises NoRootFound without any search beyond the scan
+        code = (
+            "import sys; from lorenzmaps.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code, *NO_ROOT_SWEEP_ARGS], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.count(",no-root") == 2
+        assert result.stderr.split() == ["0", "[]"]
 
 
 # a valid command with up to two numbers swapped for decimals with large exponents,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lorenzmaps.laps as laps
+import lorenzmaps.spectral as spectral
 from lorenzmaps import (
     LOWER,
     UPPER,
@@ -15,8 +16,10 @@ from lorenzmaps import (
     DomainError,
     LapState,
     LorenzMap,
+    NoRootFound,
     ResourceLimit,
     entropy_laps,
+    kneading_prefixes,
     lap_count,
     lap_count_bruteforce,
     lap_states,
@@ -279,3 +282,32 @@ class TestMappedOnce:
             lap_states(m, n)
             assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
             assert sum(calls.values()) <= 2 * n + 4
+
+
+class TestLapUpperBound:
+    """A certified spectral enclosure never lies above a lap-count bound on the entropy.
+
+    The bound takes entropy to be the lap growth rate h = lim_k (1/k) ln l(T^k), which
+    Misiurewicz-Szlenk (1980) prove for piecewise monotone maps and Misiurewicz-Ziemian
+    (1992) for piecewise continuous ones.  The lap number is submultiplicative,
+    l(T^(j+k)) <= l(T^j) l(T^k), so by Fekete's lemma the limit is the infimum of
+    (1/k) ln l(T^k): h <= (1/k) ln l(T^k) for every k.  LapState.total_laps also splits
+    laps at the preimages of p, so it is at least l(T^k) and bounds h the same way.  An
+    enclosure [x_lo, x_hi] that holds exp(h) thus has ln x_lo <= ln(total_laps_k) / k.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(_random_map())
+    def test_enclosure_below_every_lap_bound(self, m):
+        n = spectral.DEFAULT_ORDER
+        xi = spectral.xi_coeffs(kneading_prefixes(m.branches, m.p, n))
+        lo = max((1.0 + float(m.branches.c_min)) / 2.0, math.nextafter(1.0, 2.0))
+        try:
+            root = spectral.max_root(xi, lo, 2.0, spectral.DEFAULT_TOL)
+        except NoRootFound:
+            return
+        x_lo, _, certified = spectral._uncertainty_interval(xi, root, lo, 2.0)
+        if not certified:
+            return
+        for state in lap_states(m, 50):
+            assert math.log(x_lo) <= math.log(state.total_laps) / state.step

@@ -18,7 +18,6 @@ from lorenzmaps import (
     NoRootFound,
     ODD_CROSSING,
     RootResult,
-    TANGENTIAL,
     XiPolynomial,
     csv_text,
     entropy_laps,
@@ -159,6 +158,30 @@ class TestTailBound:
             tail_bound(0.9, 5)
 
 
+def _at(bp, at):
+    return bp.a if at == "a" else at
+
+
+# maps whose truncation changes sign nowhere in the bracket ((1 + c_min)/2, 2].  (51/50, 179/100)
+# at p = a has a certified root at n = 500 (h = 0.02239) that order 50 does not reach
+_NO_CROSSING_MAPS = [
+    (F(51, 50), F(179, 100), "a", 50),
+    (F(11, 10), F(19, 10), "a", 2),
+    (F(11, 10), F(19, 10), F(7, 10), 2),
+]
+_NO_CROSSING_MAP_IDS = ["slopes-51/50-179/100-n50", "paper-a-n2", "paper-7/10-n2"]
+
+
+def _no_crossing_series(b0, b1, at, n):
+    bp = make_affine_pair(b0, b1)
+    return xi_coeffs(kneading_prefixes(bp, _at(bp, at), n)), (1.0 + float(bp.c_min)) / 2.0
+
+
+# their series, and (1 - t)^2 (1 + t), t = 1/x, which only touches zero at x = 1, below the bracket
+_NO_CROSSING = [_no_crossing_series(*case) for case in _NO_CROSSING_MAPS] + [(XiPolynomial((1, -1, -1, 1)), 1.05)]
+_NO_CROSSING_IDS = _NO_CROSSING_MAP_IDS + ["double-zero-at-1"]
+
+
 class TestMaxRoot:
     def test_golden_ratio(self):
         res = max_root(XiPolynomial((1, -1, -1)), 1.05, 2.0, 1e-10)
@@ -176,12 +199,13 @@ class TestMaxRoot:
         res = max_root(xi_coeffs(kp), 1.25, 2.0, 1e-9)
         assert abs(res.gamma - 1.5) < 1e-6
 
-    def test_tangential_dip(self):
-        # 1 - t - t^2 + t^3 = (1-t)^2 (1+t) with t = 1/x: positive on x > 1,
-        # decreasing toward the bracket floor, and inside the (large) tail bound there
-        res = max_root(XiPolynomial((1, -1, -1, 1)), 1.05, 2.0, 1e-8)
-        assert res.multiplicity_hint == TANGENTIAL
-        assert res.gamma == pytest.approx(1.05, abs=1e-3)
+    @pytest.mark.parametrize("xi, lo", _NO_CROSSING, ids=_NO_CROSSING_IDS)
+    def test_no_sign_change_raises(self, xi, lo):
+        # each truncation stays positive on the whole bracket; a dip toward zero is no root
+        xs = np.linspace(2.0, lo, 64 * xi.order + 1)
+        assert np.all(_scan(xi, xs)[0] > 0.0)
+        with pytest.raises(NoRootFound, match="changes sign nowhere"):
+            max_root(xi, lo, 2.0, 1e-8)
 
     def test_residual_bound_on_kneading_roots(self):
         rng = random.Random(53)
@@ -272,6 +296,18 @@ class TestEntropySpectral:
         assert est.certified
         # error_bound = ln(x_hi / x_lo) / 2 >= (x_hi - x_lo) / (2 x_hi), with x_hi <= 2
         assert est.error_bound >= reach / 4
+
+    @pytest.mark.parametrize("b0, b1, at, n", _NO_CROSSING_MAPS, ids=_NO_CROSSING_MAP_IDS)
+    def test_no_sign_change_raises(self, b0, b1, at, n):
+        bp = make_affine_pair(b0, b1)
+        with pytest.raises(NoRootFound, match="changes sign nowhere"):
+            entropy_spectral(bp, _at(bp, at), n=n)
+
+    def test_longer_truncation_finds_the_root(self):
+        # the order-50 truncation at p = a changes sign nowhere; order 500 certifies h = 0.02239
+        bp = make_affine_pair(F(51, 50), F(179, 100))
+        est = entropy_spectral(bp, bp.a, n=500)
+        assert est.certified and abs(est.entropy - 0.02239) <= est.error_bound + 1e-5
 
     def test_float_mode_matches_exact_mode(self):
         bp = make_affine_pair(F(11, 10), F(19, 10))
@@ -415,22 +451,7 @@ def _max_root_full_grid(xi, lo, hi, tol):
             return spectral.RootResult(float(x_hi), 0.0, (float(x_hi), float(x_hi)), ODD_CROSSING)
         gamma, residual, bracket = spectral._bisect_root(f, float(x_lo), float(x_hi), float(v_lo), float(v_hi), tol)
         return spectral.RootResult(gamma, residual, bracket, ODD_CROSSING)
-    if np.all(vals < 0.0):
-        raise NoRootFound("series is negative throughout the bracket")
-    from scipy.optimize import minimize_scalar
-
-    j = int(np.argmin(vals))
-    left = float(xs[min(j + 1, len(xs) - 1)])
-    right = float(xs[max(j - 1, 0)])
-    res = minimize_scalar(f, bounds=(left, right), method="bounded", options={"xatol": tol * 0.25})
-    xm, fm = float(res.x), float(res.fun)
-    if fm < 0.0:
-        gamma, residual, bracket = spectral._bisect_root(f, xm, right, fm, f(right), tol)
-        return spectral.RootResult(gamma, residual, bracket, ODD_CROSSING)
-    neighbours = [float(vals[k]) for k in (j - 1, j + 1) if 0 <= k < len(vals)]
-    if all(fm < v for v in neighbours) and fm <= tail_bound(xm, xi.order):
-        return spectral.RootResult(xm, fm, (xm - tol / 2, xm + tol / 2), TANGENTIAL)
-    raise NoRootFound("no sign change, and no dip within the truncation tail of zero")
+    raise NoRootFound("no sign change on the full grid")
 
 
 def _root_bits(xi, lo, hi, tol, find):
@@ -510,10 +531,10 @@ class TestExclusionScan:
     def test_random_series(self, coeffs, lo):
         _assert_scan_matches_full_grid(XiPolynomial(tuple(coeffs)), lo)
 
-    def test_tangential_falls_back_to_the_full_grid(self):
-        xi = XiPolynomial((1, -1, -1, 1))
-        _assert_scan_matches_full_grid(xi, 1.05, tol=1e-8)
-        assert max_root(xi, 1.05, 2.0, 1e-8).multiplicity_hint == TANGENTIAL
+    @pytest.mark.parametrize("xi, lo", _NO_CROSSING, ids=_NO_CROSSING_IDS)
+    def test_no_crossing_on_either_path(self, xi, lo):
+        _assert_scan_matches_full_grid(xi, lo, tol=1e-8)
+        assert _root_bits(xi, lo, 2.0, 1e-8, max_root) == "NoRootFound"
 
     @pytest.mark.parametrize("b0, b1", [(F(11, 10), F(19, 10)), (F(105, 100), F(19, 10))])
     def test_kneading_series(self, b0, b1):

@@ -24,8 +24,6 @@ from fractions import Fraction
 
 from .errors import DomainError, InvalidBranch, InvalidSlopes
 
-Scalar = Fraction
-
 UPPER = "upper"
 LOWER = "lower"
 
@@ -106,11 +104,11 @@ class BranchSpec:
         )
 
     @property
-    def lo(self) -> Scalar:
+    def lo(self) -> Fraction:
         return self.points[0][0]
 
     @property
-    def hi(self) -> Scalar:
+    def hi(self) -> Fraction:
         return self.points[-1][0]
 
     @property
@@ -137,14 +135,14 @@ class BranchSpec:
         i = bisect.bisect_right(seq, value) - 1
         return min(max(i, 0), len(seq) - 2)
 
-    def __call__(self, x) -> Scalar:
+    def __call__(self, x) -> Fraction:
         x = _coerce(x)
         if x < self.lo or x > self.hi:
             raise DomainError(f"{x!r} outside branch domain [{self.lo}, {self.hi}]")
         i = self._piece(self._xs, x)
         return self._ys[i] + self._slopes[i] * (x - self._xs[i])
 
-    def inverse(self, y) -> Scalar:
+    def inverse(self, y) -> Fraction:
         """The unique x with branch(x) = y, for y in [0, 1]."""
         y = _coerce(y)
         if y < 0 or y > 1:
@@ -172,19 +170,19 @@ class BranchPair:
             raise InvalidBranch("empty discontinuity interval: a > b")
 
     @property
-    def a(self) -> Scalar:
+    def a(self) -> Fraction:
         return self.f1.lo
 
     @property
-    def b(self) -> Scalar:
+    def b(self) -> Fraction:
         return self.f0.hi
 
     @property
-    def c_min(self) -> Scalar:
+    def c_min(self) -> Fraction:
         return min(self.f0.slopes + self.f1.slopes)
 
     @property
-    def c_max(self) -> Scalar:
+    def c_max(self) -> Fraction:
         return max(self.f0.slopes + self.f1.slopes)
 
     @classmethod
@@ -239,7 +237,7 @@ class LorenzMap:
     """One of the two maps induced by a branch pair and a discontinuity p."""
 
     branches: BranchPair
-    p: Scalar
+    p: Fraction
     side: str = UPPER
 
     def __post_init__(self):
@@ -250,7 +248,7 @@ class LorenzMap:
             bounds = ", ".join(fmt_number(v) for v in (self.branches.a, self.branches.b))
             raise DomainError(f"p = {fmt_number(self.p)} outside [{bounds}]")
 
-    def apply(self, x) -> Scalar:
+    def apply(self, x) -> Fraction:
         x = _coerce(x)
         if x < 0 or x > 1:
             raise DomainError(f"{x!r} outside [0, 1]")

@@ -14,17 +14,15 @@ the series also has the closed geometric form
 
 The root finder scans the bracket downward from 2 on a grid of step
 (hi - lo)/(64 n), takes the first sign change (the largest root) and
-bisects it; cells above the first grid event whose values are small
-enough to hide a double crossing are first refined together, all of them
-in one batched grid evaluation.  The grid is never evaluated in full to
-find a crossing: the values at every 64th node exclude each range of 64
-cells where a slope bound and Horner's rounding bound leave no event and
-no cell to refine, and the remaining ranges are evaluated node by node at
-the grid's own abscissae, so the search sees the full grid's bits.  A
-truncation with no sign change in the bracket has no root there that the
-search can prove, and raises NoRootFound; a longer truncation is the
-remedy, since a tangency of the truncated series says nothing about the
-root of the infinite one.
+bisects it.  One rule, _cleared, marks the cells where no computed value
+can vanish.  The values at every 64th node clear whole ranges of 64 cells
+by it, and only the other ranges are evaluated node by node, at the
+grid's own abscissae, so the search sees the full grid's bits; above the
+first grid event, every cell it does not clear is refined, all of them in
+one batched sub-grid evaluation.  A truncation with no sign change in the
+bracket has no root there that the search can prove, and raises
+NoRootFound; a longer truncation is the remedy, since a tangency of the
+truncated series says nothing about the root of the infinite one.
 """
 
 from __future__ import annotations
@@ -227,64 +225,61 @@ def _horner_error(xi, x):
     return _gamma(3 * xi.order) * max(map(abs, xi.coeffs)) * x / (x - 1.0)
 
 
+def _cleared(xi, x_top, x_bot, v_top, v_bot):
+    """True where no series value computed on the cell [x_bot, x_top] can be zero or change sign.
+
+    All but xi may be arrays; v_top and v_bot are the computed end values.
+    With D = max_{k>=1} |d_k|, |xi'(x)| <= D / (x - 1)^2; this and the
+    rounding bound r = _horner_error are largest at x_bot.  A cell is
+    cleared when v_top and v_bot share a nonzero sign and
+
+        |v_top + v_bot| > D (x_top - x_bot) / (x_bot - 1)^2 + 4 r(x_bot);
+
+    then the exact truncation exceeds r on the whole cell, with v_top's sign.
+    The factor 1 + 2^-40 absorbs the rounding of the bound itself.
+    """
+    d = max(map(abs, xi.coeffs[1:]), default=0)
+    bound = (d * (x_top - x_bot) / (x_bot - 1.0) ** 2 + 4.0 * _horner_error(xi, x_bot)) * (1.0 + 2.0**-40)
+    return (np.sign(v_top) * np.sign(v_bot) > 0) & (np.abs(v_top + v_bot) > bound)
+
+
 def _scan(xi, lo, hi, num):
     """The cells of the descending grid _grid_x(lo, hi, num, ...) that may hold a crossing.
 
     The grid's cells fall into ranges of RANGE_CELLS; the range nodes are
     evaluated first, up to the first range whose end values change sign
-    (the first grid event lies at or above its bottom).  A range [x_j, x_i]
-    with values v_i, v_j is excluded when
-
-        |v_i + v_j| > (D (x_i - x_j) + 2 step) / (x_j - 1)^2 + 4 r(x_j),
-
-    with D = max_{k>=1} |d_k|, so that |xi'(x)| <= D / (x - 1)^2, and
-    r = _horner_error, Higham's bound on the rounding of one Horner value.  Then
-    every grid value in the range is nonzero, of the sign of v_i and larger
-    than step / (x_j - 1)^2: no cell of the range is an event, nor small
-    enough for _first_crossing to refine.  The kept ranges are evaluated at
+    (the first grid event lies at or above its bottom).  A range that
+    _cleared clears holds no grid event and no cell whose refinement can
+    find a sign change, so it is skipped.  The kept ranges are evaluated at
     every grid node with _eval_grid, so they carry the full grid's bits.
 
     Returns (xs, vals) of shape (ranges kept, RANGE_CELLS + 1), one range per
-    row in scan order; the top range is always kept, as _first_crossing reads
-    the grid step from its first cell.
+    row in scan order.
     """
     nodes = np.arange(0, num + 1, RANGE_CELLS)
     x = _grid_x(lo, hi, num, nodes)
     v = _eval_grid(xi.coeffs, x)
-    same = np.sign(v[:-1]) * np.sign(v[1:]) > 0
-    change = np.flatnonzero(~same)
-    ranges = change[0] + 1 if change.size else same.size
-    xt, xb = x[:ranges], x[1 : ranges + 1]
-    d = float(max(map(abs, xi.coeffs[1:]), default=0))
-    step = (hi - lo) / num
-    r = _horner_error(xi, xb)
-    # the factor absorbs the rounding of the bound itself
-    bound = ((d * (xt - xb) + 2.0 * step) / (xb - 1.0) ** 2 + 4.0 * r) * (1.0 + 2.0**-40)
-    keep = ~(same[:ranges] & (np.abs(v[:ranges] + v[1 : ranges + 1]) > bound))
-    keep[0] = True
+    change = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) <= 0)
+    ranges = change[0] + 1 if change.size else x.size - 1
+    keep = ~_cleared(xi, x[:-1], x[1:], v[:-1], v[1:])[:ranges]
     idx = np.flatnonzero(keep)[:, None] * RANGE_CELLS + np.arange(RANGE_CELLS + 1)
     xs = _grid_x(lo, hi, num, idx)
     return xs, _eval_grid(xi.coeffs, xs)
 
 
 def _first_crossing(xi, xs, vals, events):
-    """Largest-x sign change, checking suspicious cells above the first grid event.
+    """Largest-x sign change, refining every cell above the first grid event that _cleared keeps.
 
     The cells lie along the last axis of xs and vals: a whole grid, or the
-    rows of _scan, whose first row starts at the top of the grid; events
-    index them in scan order.  A cell can hide a double crossing only if the
-    series comes within step * sup|xi'| of zero there; |xi'(x)| <= 1/(x-1)^2
-    bounds the slope.  The suspicious cells are refined as rows of one
-    65-point sub-grid array, in blocks that bound its memory, and the first
-    row with a sign change gives the bracket.
+    rows of _scan; events index them in scan order.  A cell that _cleared
+    does not clear may hide a double crossing.  Those cells are refined as
+    rows of one 65-point sub-grid array, in blocks that bound its memory,
+    and the first row with a sign change gives the bracket.
     """
     tops, bottoms = xs[..., :-1].ravel(), xs[..., 1:].ravel()
     vtops, vbottoms = vals[..., :-1].ravel(), vals[..., 1:].ravel()
-    step = tops[0] - bottoms[0]
-    lip = 1.0 / (bottoms - 1.0) ** 2
-    small = np.minimum(np.abs(vtops), np.abs(vbottoms)) <= step * lip
-    first = events[0] if events.size else small.size
-    cells = np.nonzero(small[:first])[0]
+    first = events[0] if events.size else tops.size
+    cells = np.flatnonzero(~_cleared(xi, tops, bottoms, vtops, vbottoms)[:first])
     for start in range(0, cells.size, 1024):
         block = cells[start : start + 1024]
         sub = np.linspace(tops[block], bottoms[block], 65, axis=1)

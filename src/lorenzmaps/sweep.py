@@ -289,10 +289,14 @@ def cross_confirm_features(
     The other method is the one the records' estimates did not use.  For
     each candidate, it is run on the sweep's p values covering the feature
     (padded by ``CONFIRM_PAD`` grid points) and must show a same-direction
-    feature overlapping in p whose prominence matches within the two
-    methods' combined error bounds.  Its record is its sweep's record at
-    the same exact grid point, so the union of all sub-grids is evaluated
-    once, each p a single time, in one pool as in ``sweep``.
+    feature overlapping in p whose prominence matches within 2 (e_s + e_l),
+    with e_s and e_l each method's largest error bound over the span: a
+    prominence is the difference of two curve values, each off by up to
+    its method's bound.  Detection on the other curve goes that far below
+    ``prominence_tol``, so it admits every prominence the match accepts.
+    Its record is its sweep's record at the same exact grid point, so the
+    union of all sub-grids is evaluated once, each p a single time, in one
+    pool as in ``sweep``.
     """
     ok, ps, _ = _ok_arrays(records)
     if len(ps) < 3 or not features:
@@ -310,7 +314,7 @@ def cross_confirm_features(
     confirmed = []
     for feat, i_lo, i_hi in spans:
         other_records = [other_at[i] for i in range(i_lo, i_hi + 1)]
-        err = _max_error(ok[i_lo : i_hi + 1]) + _max_error(other_records)
+        err = 2.0 * (_max_error(ok[i_lo : i_hi + 1]) + _max_error(other_records))
         floor = max(prominence_tol - err, 16 * DEFAULT_TOL)
         for other_feat in detect_nonmonotonic(other_records, floor):
             if (

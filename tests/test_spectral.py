@@ -324,7 +324,8 @@ def _eval_grid_reference(coeffs, xs):
 
 def _first_crossing_reference(xi, xs, vals, events):
     # reference: one 65-point refinement per suspicious cell, in scan order; the cells
-    # lie along the last axis, of a whole grid or of the rows of spectral._scan
+    # lie along the last axis, of a whole grid or of the rows of spectral._scan.  It keeps
+    # the earlier test min|v| <= step/(x - 1)^2, so it stays independent of spectral._cleared
     tops, bottoms = xs[..., :-1].ravel(), xs[..., 1:].ravel()
     vtops, vbottoms = vals[..., :-1].ravel(), vals[..., 1:].ravel()
     first = events[0] if events.size else tops.size
@@ -463,19 +464,18 @@ def _root_bits(xi, lo, hi, tol, find):
 
 
 def _assert_scan_matches_full_grid(xi, lo, hi=2.0, tol=1e-7):
-    """The scan keeps every cell the full grid refines or takes as its first event, with the
-    grid's bits, and max_root returns the full-grid root bit for bit."""
+    """The scan keeps the full grid's first event and every cell above it that spectral._cleared
+    does not clear, with the grid's bits, and max_root returns the full-grid root bit for bit."""
     num = 64 * max(xi.order, 2)
     xs = np.linspace(hi, lo, num + 1)
     vals, events = _scan(xi, xs)
     first = events[0] if events.size else num
-    step = xs[0] - xs[1]
-    small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= step / (xs[1:] - 1.0) ** 2
-    needed = set(np.nonzero(small[:first])[0]) | set(events[:1])
+    cleared = spectral._cleared(xi, xs[:first], xs[1 : first + 1], vals[:first], vals[1 : first + 1])
+    needed = set(np.flatnonzero(~cleared)) | set(events[:1])
     rows_x, rows_v = spectral._scan(xi, lo, hi, num)
     kept = np.round((hi - rows_x[:, :-1].ravel()) / (hi - lo) * num).astype(int)
     assert needed <= set(kept)
-    assert rows_x.shape[1] == spectral.RANGE_CELLS + 1 and rows_x[0, 0] == hi
+    assert rows_x.shape[1] == spectral.RANGE_CELLS + 1
     at = np.round((hi - rows_x) / (hi - lo) * num).astype(int)
     assert np.array_equal(rows_x.view(np.int64), xs[at].view(np.int64))
     assert np.array_equal(rows_v.view(np.int64), vals[at].view(np.int64))
@@ -488,6 +488,64 @@ def _paper_like_series(b0, b1, count, n=500):
     lo = (1.0 + float(bp.c_min)) / 2.0
     return [(xi_coeffs(kneading_prefixes(bp, bp.a + F(k, count + 1) * (bp.b - bp.a), n)), lo)
             for k in range(1, count + 1)]
+
+
+def _exact_signs(xi, xs):
+    # signs of the exact truncation at the binary64 abscissae xs
+    return [np.sign(float(xi_eval(xi, F(float(x))))) for x in xs]
+
+
+class TestClearedRule:
+    """spectral._cleared clears a cell only where no computed value can be zero or change sign."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=300),
+        st.floats(1.01, 2.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 40),
+        st.booleans(),
+    )
+    def test_cleared_cells_hold_no_zero(self, coeffs, x, width_exp, on_grid):
+        xi = XiPolynomial(tuple(coeffs))
+        if on_grid:
+            # the cell of the 64n grid over (1.01, 2] that holds x
+            num = 64 * xi.order
+            j = min(int((2.0 - x) / (2.0 - 1.01) * num), num - 1)
+            x_top, x_bot = spectral._grid_x(1.01, 2.0, num, np.array([j, j + 1]))
+        else:
+            x_top, x_bot = min(2.0, x + 2.0**-width_exp), x
+        v_top, v_bot = spectral._eval_grid(xi.coeffs, np.array([x_top, x_bot]))
+        if not spectral._cleared(xi, x_top, x_bot, v_top, v_bot):
+            return
+        sub = np.linspace(x_top, x_bot, 257)
+        assert np.all(np.sign(spectral._eval_grid(xi.coeffs, sub)) == np.sign(v_top))
+        assert _exact_signs(xi, sub[::64]) == [np.sign(v_top)] * 5
+
+    def test_slope_term_keeps_a_hidden_pair(self):
+        # cell 1483 holds the close root pair (1.70321, 1.70329): both its end values are
+        # positive and their sum exceeds 4 r, so only the slope term keeps it for refinement
+        xs = np.linspace(2.0, 1.2, 4001)
+        xi = _hidden_pair_series([(1.70321, 1.70329)], 100.0)
+        x_top, x_bot = xs[1483], xs[1484]
+        v_top, v_bot = spectral._eval_grid(xi.coeffs, np.array([x_top, x_bot]))
+        assert v_top > 0.0 and v_bot > 0.0
+        assert not spectral._cleared(xi, x_top, x_bot, v_top, v_bot)
+        assert abs(v_top + v_bot) > 4.0 * spectral._horner_error(xi, x_bot) * (1.0 + 2.0**-40)
+        sub = np.linspace(x_top, x_bot, 65)
+        assert np.any(spectral._eval_grid(xi.coeffs, sub) < 0.0)
+
+    def test_rounding_term_keeps_a_rounded_root(self):
+        # a one-ulp cell around a root of an order-40 kneading series: the exact truncation
+        # changes sign in it, but both computed values are -2^-52, and their sum exceeds the
+        # slope term alone, so only the rounding term keeps the cell
+        bp = make_affine_pair(F(17, 10), F(19, 10))
+        xi = xi_coeffs(kneading_prefixes(bp, bp.a + F(5, 8) * (bp.b - bp.a), 40))
+        x_top, x_bot = 1.7988974275084766, 1.7988974275084764
+        v_top, v_bot = spectral._eval_grid(xi.coeffs, np.array([x_top, x_bot]))
+        assert v_top == v_bot == -(2.0**-52)
+        assert _exact_signs(xi, [x_top, x_bot]) == [1.0, -1.0]
+        assert not spectral._cleared(xi, x_top, x_bot, v_top, v_bot)
+        assert abs(v_top + v_bot) > (x_top - x_bot) / (x_bot - 1.0) ** 2 * (1.0 + 2.0**-40)
 
 
 class TestExclusionScan:

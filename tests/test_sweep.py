@@ -285,6 +285,31 @@ class TestCrossConfirm:
         assert spectral_points == grid[11:20]
 
 
+    @pytest.mark.parametrize("gap, confirmed", [(1.5, True), (2.5, False)])
+    def test_prominences_match_within_twice_the_error_bounds(self, monkeypatch, gap, confirmed):
+        # a prominence is the difference of two curve values, each off by up to its method's
+        # bound, so honest prominences may differ by 2 (e_l + e_s) and no more
+        sweep_module = sys.modules["lorenzmaps.sweep"]
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        grid = sweep_module._grid(bp, F(1, 2), F(4, 5), 30)
+        e_l = e_s = 1e-4
+
+        def dip(depth):
+            return {p: 0.2 - depth if i == 15 else 0.2 for i, p in enumerate(grid)}
+
+        laps_h, spectral_h = dip(0.01), dip(0.01 + gap * (e_l + e_s))
+        records = [SweepRecord(p, EntropyEstimate(laps_h[p], math.exp(laps_h[p]), "laps", 50, e_l, False), "ok")
+                   for p in grid]
+        features = detect_nonmonotonic(records, 1e-5)
+        assert [f.direction for f in features] == [DIP]
+        monkeypatch.setattr(
+            sweep_module,
+            "entropy_spectral",
+            lambda bp, p, n, tol: EntropyEstimate(spectral_h[p], math.exp(spectral_h[p]), "spectral", n, e_s, True),
+        )
+        assert cross_confirm_features(bp, records, features, prominence_tol=1e-5) == (features if confirmed else [])
+
+
 class TestContinuityModulus:
     def test_synthetic(self):
         max_jump, at_p = continuity_modulus([ok_record(0.2, 0.4), ok_record(0.4, 0.7)])

@@ -42,7 +42,11 @@ MAX_CLASSES = 100_000
 
 @dataclass(frozen=True)
 class LapState:
-    """Image-interval classes of T^step, as sorted ((lo, hi), multiplicity) pairs."""
+    """Image-interval classes of T^step, as ((lo, hi), multiplicity) pairs in propagation order.
+
+    The order is deterministic (classes keep the order in which propagation
+    first met them) and the totals do not depend on it.
+    """
 
     step: int
     classes: tuple
@@ -78,7 +82,7 @@ def lap_states(m: LorenzMap, n: int) -> list:
         classes = _advance(classes, f0, f1, m.p)
         if len(classes) > MAX_CLASSES:
             raise ResourceLimit(f"{len(classes)} interval classes at step {step} exceed the cap {MAX_CLASSES}")
-        out.append(LapState(step, tuple(sorted(classes.items()))))
+        out.append(LapState(step, tuple(classes.items())))
     return out
 
 

@@ -52,6 +52,8 @@ CSV_FIELDS = ("p", "entropy", "gamma", "method", "order", "error_bound", "status
 
 #: grid points added on each side of a feature for its confirmation
 CONFIRM_PAD = 3
+#: a sweep grid of more points raises ResourceLimit before any point is built
+MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class NonMonotoneFeature:
 def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     if points < 2:
         raise DomainError("a sweep needs at least 2 points")
+    if points > MAX_POINTS:
+        raise ResourceLimit(f"{points} grid points exceed the cap MAX_POINTS = {MAX_POINTS}")
     a, b = bp.a, bp.b
     lo, hi = _coerce(p_min), _coerce(p_max)
     if lo >= hi:
@@ -118,15 +122,29 @@ def _sweep_point(bp, method, n, tol, window, p) -> SweepRecord:
         return SweepRecord(p, None, STATUS_RESOURCE_LIMIT)
 
 
-def _run_points(fn, ps, workers) -> list:
-    """[fn(p) for p in ps], in a pool of at most one process per point and per usable CPU; order is kept."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers or 1, len(ps), cpus)
-    if workers > 1:
-        chunk = max(1, len(ps) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, ps, chunksize=chunk))
+def _serial(fn, ps) -> list:
     return [fn(p) for p in ps]
+
+
+def _run_points(fn, ps, workers) -> list:
+    """[fn(p) for p in ps] on w = min(workers, points, usable CPUs) processes, the caller one of them.
+
+    The caller forks w - 1 helpers, hands helper k the slice ps[k::w],
+    runs ps[0::w] itself and interleaves the slices back into input
+    order.  An exception from any slice reaches the caller once every
+    helper has stopped.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    w = min(workers or 1, len(ps), cpus)
+    if w <= 1:
+        return _serial(fn, ps)
+    out = [None] * len(ps)
+    with ProcessPoolExecutor(max_workers=w - 1) as pool:
+        helpers = [pool.submit(_serial, fn, ps[k::w]) for k in range(1, w)]
+        out[0::w] = _serial(fn, ps[0::w])
+        for k, helper in enumerate(helpers, 1):
+            out[k::w] = helper.result()
+    return out
 
 
 def sweep(
@@ -144,9 +162,11 @@ def sweep(
     """Entropy records of the exact pair bp on an equally spaced grid of p values.
 
     Per-point failures are recorded in the record status and never abort
-    the sweep.  ``workers`` > 1 runs points in a process pool of at most
-    ``workers`` processes, and of no more than the points or the usable
-    CPUs; the output is the same either way.
+    the sweep.  ``workers`` > 1 runs the points on at most ``workers``
+    processes, the calling one included, so at most ``workers`` - 1 are
+    forked, and on no more than the points or the usable CPUs; the output
+    is the same for every worker count.  A grid of more than
+    ``MAX_POINTS`` points raises ResourceLimit before any work.
     """
     point = partial(_sweep_point, bp, method, n, tol, window)
     return _run_points(point, _grid(bp, p_min, p_max, points), workers)
@@ -295,8 +315,9 @@ def cross_confirm_features(
     its method's bound.  Detection on the other curve goes that far below
     ``prominence_tol``, so it admits every prominence the match accepts.
     Its record is its sweep's record at the same exact grid point, so the
-    union of all sub-grids is evaluated once, each p a single time, in one
-    pool as in ``sweep``.
+    union of all sub-grids is evaluated once, each p a single time, on
+    ``workers`` processes as in ``sweep``: the calling one and
+    ``workers`` - 1 forked ones.
     """
     ok, ps, _ = _ok_arrays(records)
     if len(ps) < 3 or not features:

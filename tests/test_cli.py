@@ -582,6 +582,40 @@ class TestInputErrorsBeforeWork:
         assert err.startswith("error:") and "window" in err
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_points_past_the_cap_exit_4(self, command):
+        # in a child whose address space is capped, so a grid built before the check fails rather than swaps
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        code = (
+            "import sys, time; from lorenzmaps.cli import main; "
+            "start = time.perf_counter(); code = main(sys.argv[1:]); "
+            "sys.exit(code if time.perf_counter() - start < 1.0 else 99)"
+        )
+        argv = [command, "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11",
+                "--points", "10000000000", "--workers", "1"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=10,
+            preexec_fn=cap_memory,
+        )
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: 10000000000 grid points exceed the cap MAX_POINTS = 1000000"]
+
+    def test_the_cap_itself_is_allowed(self, monkeypatch):
+        from lorenzmaps import ResourceLimit, make_affine_pair
+
+        sweep_module = sys.modules["lorenzmaps.sweep"]
+        monkeypatch.setattr(sweep_module, "MAX_POINTS", 5)
+        bp = make_affine_pair(Fraction(11, 10), Fraction(19, 10))
+        assert len(sweep_module._grid(bp, Fraction(1, 2), Fraction(4, 5), 5)) == 5
+        with pytest.raises(ResourceLimit, match="MAX_POINTS = 5"):
+            sweep_module._grid(bp, Fraction(1, 2), Fraction(4, 5), 6)
+
 
 _TINY_P = "1e-5000"
 _B1_NEAR_1 = "1." + "0" * 400 + "1"

@@ -1,8 +1,11 @@
 import importlib
 import math
+import multiprocessing
 import os
 import sys
+from concurrent.futures import Future
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from lorenzmaps import (
 )
 
 F = Fraction
+sweep_module = importlib.import_module("lorenzmaps.sweep")
 
 
 def ok_record(p, h, err=1e-9):
@@ -114,7 +118,7 @@ class TestSweep:
 def recording_pool(monkeypatch):
     """The max_workers of every pool opened, with four usable CPUs whatever the machine.
 
-    The stand-in pool starts no process and maps serially.
+    The stand-in pool starts no process and runs each task as it is submitted.
     """
     opened = []
 
@@ -128,8 +132,10 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
     monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
@@ -137,7 +143,7 @@ def recording_pool(monkeypatch):
 
 
 class TestPoolSize:
-    """A pool opens at most one process per point and per usable CPU."""
+    """A pool forks one process fewer than the points and usable CPUs; the caller is the last worker."""
 
     def test_capped_by_points_and_cpus(self, recording_pool):
         bp = make_uniform_pair(F(3, 2))
@@ -146,7 +152,7 @@ class TestPoolSize:
         assert sweep(bp, F(2, 5), F(3, 5), 3, "spectral", n=40, workers=100000) == serial
         assert sweep(bp, F(2, 5), F(3, 5), 9, "spectral", n=40, workers=100000)[::4] == serial
         assert sweep(bp, F(2, 5), F(3, 5), 9, "spectral", n=40, workers=2)[::4] == serial
-        assert recording_pool == [3, 4, 2]
+        assert recording_pool == [2, 3, 1]
 
     def test_one_usable_cpu_runs_serially(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -161,7 +167,62 @@ class TestPoolSize:
                 "--n", "40", "--workers", "100000"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
-        assert recording_pool == [3]
+        assert recording_pool == [2]
+
+
+class SliceFailed(Exception):
+    pass
+
+
+def _square_unless(bad, p):
+    # (p squared, the pid that computed it); raises at p == bad
+    if p == bad:
+        raise SliceFailed(p)
+    return p * p, os.getpid()
+
+
+class TestRunPoints:
+    """_run_points splits the points between the caller and w - 1 forked helpers and keeps their order."""
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        # the real pool, recording the max_workers of each
+        opened = []
+        real = sweep_module.ProcessPoolExecutor
+
+        def recorded(max_workers):
+            opened.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        return opened
+
+    def test_equals_the_serial_map(self, four_cpus):
+        fn = partial(_square_unless, None)
+        me = os.getpid()
+        for workers in range(1, 5):
+            for count in range(18):
+                ps = list(range(count))
+                out = sweep_module._run_points(fn, ps, workers)
+                assert [h for h, _ in out] == [p * p for p in ps]
+                w = min(workers, count)
+                if w > 1:
+                    assert four_cpus.pop() == w - 1
+                    # the caller runs ps[0::w], a helper every other slice
+                    assert all((pid == me) == (i % w == 0) for i, (_, pid) in enumerate(out))
+                else:
+                    assert all(pid == me for _, pid in out)
+                assert four_cpus == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [4, 3], ids=["helper", "caller"])
+    def test_an_exception_reaches_the_caller(self, four_cpus, bad):
+        # with 3 workers the caller runs p = 0, 3, 6 and the first helper p = 1, 4, 7
+        with pytest.raises(SliceFailed):
+            sweep_module._run_points(partial(_square_unless, bad), list(range(9)), 3)
+        assert four_cpus == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestDetectNonmonotonic:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,9 @@ DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
 #: lap_states raises ResourceLimit past this many interval classes in one step
 MAX_CLASSES = 100_000
+#: lap_states raises ResourceLimit past this many steps, before the first one; the lap
+#: estimate at this order took 30-33 s and 200 MB on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
+MAX_ITERATES = 1000
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,13 @@ class LapState:
         return sum(mult * (hi - lo) for (lo, hi), mult in self.classes)
 
 
+def _check_iterates(n: int) -> None:
+    if n < 1:
+        raise DomainError("need at least one step")
+    if n > MAX_ITERATES:
+        raise ResourceLimit(f"{n} lap steps exceed the cap MAX_ITERATES = {MAX_ITERATES}")
+
+
 def _advance(classes, f0, f1, p):
     new = {}
     for (lo, hi), mult in classes.items():
@@ -71,9 +82,11 @@ def _advance(classes, f0, f1, p):
 
 
 def lap_states(m: LorenzMap, n: int) -> list:
-    """LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0."""
-    if n < 1:
-        raise DomainError("need at least one step")
+    """LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0.
+
+    An n past MAX_ITERATES raises ResourceLimit before any step.
+    """
+    _check_iterates(n)
     # each branch maps each orbit point once; the caches live for this call only
     f0, f1 = (functools.cache(branch) for branch in (m.branches.f0, m.branches.f1))
     classes = {(Fraction(0), Fraction(1)): 1}
@@ -100,13 +113,19 @@ def lap_count_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> int:
     rise c_max^n / grid (branch boundaries can jump upward when the two
     one-sided orbits of p land in different order later on).  Converges to
     the true lap count once the grid resolves the narrowest lap and the
-    smallest jump.  Intended as an oracle for small n.
+    smallest jump.  Intended as an oracle for small n: an n at which
+    c_max^n overflows binary64 raises DomainError before any sampling.
     """
     if n < 1:
         raise DomainError("need at least one step")
     if grid < 2:
         raise DomainError("grid too small")
     mf = _binary64(m)
+    try:
+        max_branch_rise = float(mf.branches.c_max) ** n / grid
+    except OverflowError:
+        limit = int(math.log(sys.float_info.max) / _ln(mf.branches.c_max))
+        raise DomainError(f"n = {n} exceeds {limit}, the largest n at which c_max^n is a finite binary64") from None
     p = float(mf.p)
     f0, f1 = mf.branches.f0, mf.branches.f1
     xs0, ys0, xs1, ys1 = (np.array(v, dtype=float) for v in (f0._xs, f0._ys, f1._xs, f1._ys))
@@ -116,7 +135,6 @@ def lap_count_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> int:
         mask = y < p if upper else y <= p
         y = np.where(mask, np.interp(y, xs0, ys0), np.interp(y, xs1, ys1))
     rise = np.diff(y)
-    max_branch_rise = float(mf.branches.c_max) ** n / grid
     boundaries = int(np.count_nonzero((rise <= 0) | (rise > max_branch_rise * (1 + 1e-9))))
     return boundaries + 1
 
@@ -153,8 +171,10 @@ def entropy_laps(
 
 
 def _check_window(n: int, window: int) -> None:
+    """The lap estimator's check of its parameters, before any work: n > window >= 1, n within MAX_ITERATES."""
     if window < 1 or n <= window:
         raise DomainError("need n > window >= 1")
+    _check_iterates(n)
 
 
 def lap_report(m: LorenzMap, n: int, window: int):

@@ -15,11 +15,11 @@ the series also has the closed geometric form
 The root finder scans the bracket downward from 2 on a grid of step
 (hi - lo)/(64 n), takes the first sign change (the largest root) and
 bisects it.  One rule, _cleared, marks the cells where no computed value
-can vanish.  The values at every 64th node clear whole ranges of 64 cells
-by it, and only the other ranges are evaluated node by node, at the
-grid's own abscissae, so the search sees the full grid's bits; above the
-first grid event, every cell it does not clear is refined, all of them in
-one batched sub-grid evaluation.  A truncation with no sign change in the
+can vanish; by it _suspects picks the cells above the first sign event,
+first among the 64-cell ranges between every 64th node (only those are
+evaluated node by node) and then among their cells, each refined on a
+65-point sub-grid.  One formula, _grid_x, places every abscissa, so the
+search sees the full grid's bits.  A truncation with no sign change in the
 bracket has no root there that the search can prove, and raises
 NoRootFound; a longer truncation is the remedy, since a tangency of the
 truncated series says nothing about the root of the infinite one.
@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, LengthMismatch, MissingPeriodicForm, NoRootFound
-from .kneading import KneadingPair, kneading_prefixes
+from .kneading import KneadingPair, _check_steps, kneading_prefixes
 from .maps import BranchPair
 
 SPECTRAL = "spectral"
@@ -204,12 +204,11 @@ def _bisect_root(f, xl, xr, vl, vr, tol):
 def _grid_x(lo, hi, num, idx):
     """The descending grid of num + 1 points from hi to lo, computed at the integer indices idx alone.
 
-    Its values are numpy linspace's, bit for bit: linspace rounds i * step
-    and then + hi, and stores lo at i = num; so do we.
+    lo and hi may be arrays broadcast against idx, a grid per row.  Its values
+    are numpy linspace's, bit for bit: linspace rounds i * step and then + hi,
+    and stores lo at i = num; so do we.
     """
-    xs = idx * ((lo - hi) / num) + hi
-    xs[idx == num] = lo
-    return xs
+    return np.where(idx == num, lo, idx * ((lo - hi) / num) + hi)
 
 
 def _gamma(k):
@@ -243,15 +242,26 @@ def _cleared(xi, x_top, x_bot, v_top, v_bot):
     return (np.sign(v_top) * np.sign(v_bot) > 0) & (np.abs(v_top + v_bot) > bound)
 
 
+def _suspects(xi, tops, bottoms, vtops, vbottoms):
+    """(cells above the first sign event that _cleared does not clear, that event's index or None).
+
+    Cell i is [bottoms[i], tops[i]], in scan order; an event is a cell whose end signs multiply to <= 0.
+    """
+    events = np.flatnonzero(np.sign(vtops) * np.sign(vbottoms) <= 0)
+    event = events[0] if events.size else None
+    cells = np.flatnonzero(~_cleared(xi, tops, bottoms, vtops, vbottoms)[:event])
+    return cells, event
+
+
 def _scan(xi, lo, hi, num):
     """The cells of the descending grid _grid_x(lo, hi, num, ...) that may hold a crossing.
 
-    The grid's cells fall into ranges of RANGE_CELLS; the range nodes are
-    evaluated first, up to the first range whose end values change sign
-    (the first grid event lies at or above its bottom).  A range that
-    _cleared clears holds no grid event and no cell whose refinement can
-    find a sign change, so it is skipped.  The kept ranges are evaluated at
-    every grid node with _eval_grid, so they carry the full grid's bits.
+    The grid's cells fall into ranges of RANGE_CELLS.  _suspects picks them
+    from the range nodes: every range above the first range event that
+    _cleared does not clear, then the event range, at or above whose bottom
+    the first grid event lies.  A cleared range holds no grid event and no
+    cell whose refinement can find a sign change.  The kept ranges are
+    evaluated at every grid node, so they carry the full grid's bits.
 
     Returns (xs, vals) of shape (ranges kept, RANGE_CELLS + 1), one range per
     row in scan order.
@@ -259,41 +269,36 @@ def _scan(xi, lo, hi, num):
     nodes = np.arange(0, num + 1, RANGE_CELLS)
     x = _grid_x(lo, hi, num, nodes)
     v = _eval_grid(xi.coeffs, x)
-    change = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) <= 0)
-    ranges = change[0] + 1 if change.size else x.size - 1
-    keep = ~_cleared(xi, x[:-1], x[1:], v[:-1], v[1:])[:ranges]
-    idx = np.flatnonzero(keep)[:, None] * RANGE_CELLS + np.arange(RANGE_CELLS + 1)
+    ranges, event = _suspects(xi, x[:-1], x[1:], v[:-1], v[1:])
+    if event is not None:
+        ranges = np.append(ranges, event)
+    idx = ranges[:, None] * RANGE_CELLS + np.arange(RANGE_CELLS + 1)
     xs = _grid_x(lo, hi, num, idx)
     return xs, _eval_grid(xi.coeffs, xs)
 
 
-def _first_crossing(xi, xs, vals, events):
-    """Largest-x sign change, refining every cell above the first grid event that _cleared keeps.
+def _first_crossing(xi, xs, vals):
+    """Largest-x sign change: the cells _suspects picks, refined, else the first grid event.
 
     The cells lie along the last axis of xs and vals: a whole grid, or the
-    rows of _scan; events index them in scan order.  A cell that _cleared
-    does not clear may hide a double crossing.  Those cells are refined as
-    rows of one 65-point sub-grid array, in blocks that bound its memory,
-    and the first row with a sign change gives the bracket.
+    rows of _scan, in scan order.  _suspects picks them by _scan's rule; each
+    may hide a double crossing, so all are refined as rows of one 65-point
+    _grid_x sub-grid array, in blocks that bound its memory.
     """
     tops, bottoms = xs[..., :-1].ravel(), xs[..., 1:].ravel()
     vtops, vbottoms = vals[..., :-1].ravel(), vals[..., 1:].ravel()
-    first = events[0] if events.size else tops.size
-    cells = np.flatnonzero(~_cleared(xi, tops, bottoms, vtops, vbottoms)[:first])
+    cells, event = _suspects(xi, tops, bottoms, vtops, vbottoms)
     for start in range(0, cells.size, 1024):
-        block = cells[start : start + 1024]
-        sub = np.linspace(tops[block], bottoms[block], 65, axis=1)
+        block = cells[start : start + 1024, None]
+        sub = _grid_x(bottoms[block], tops[block], 64, np.arange(65))
         sv = _eval_grid(xi.coeffs, sub)
         ss = np.sign(sv)
-        change = ss[:, :-1] * ss[:, 1:] <= 0
-        rows = np.nonzero(change.any(axis=1))[0]
-        if rows.size:
-            r = rows[0]
-            k = np.argmax(change[r])
+        changes = np.flatnonzero(ss[:, :-1] * ss[:, 1:] <= 0)
+        if changes.size:
+            r, k = divmod(changes[0], 64)  # the first row with a sign change, and its first cell
             return sub[r, k], sv[r, k], sub[r, k + 1], sv[r, k + 1]
-    if events.size:
-        i = events[0]
-        return tops[i], vtops[i], bottoms[i], vbottoms[i]
+    if event is not None:
+        return tops[event], vtops[event], bottoms[event], vbottoms[event]
     return None
 
 
@@ -308,11 +313,7 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
 
-    num = RANGE_CELLS * max(xi.order, 2)
-    xs, vals = _scan(xi, lo, hi, num)
-    sgn = np.sign(vals)
-    events = np.flatnonzero(sgn[..., :-1] * sgn[..., 1:] <= 0)
-    hit = _first_crossing(xi, xs, vals, events)
+    hit = _first_crossing(xi, *_scan(xi, lo, hi, RANGE_CELLS * max(xi.order, 2)))
     if hit is None:
         raise NoRootFound(
             f"the order-{xi.order} truncation changes sign nowhere in ({lo!r}, {hi!r}]; try a larger order"
@@ -373,6 +374,13 @@ def _uncertainty_interval(xi, root, lo, hi):
     return x_lo, x_hi, not (hit_lo or hit_hi)
 
 
+def _check_order(n: int) -> None:
+    """The spectral estimator's check of its order, before any work: 2 <= n <= kneading.MAX_STEPS."""
+    if n < 2:
+        raise DomainError("truncation order must be >= 2")
+    _check_steps(n)
+
+
 def entropy_spectral(bp: BranchPair, p, n: int = DEFAULT_ORDER, tol: float = DEFAULT_TOL) -> EntropyEstimate:
     """Entropy of the maps at p from the order-n kneading series truncation.
 
@@ -382,8 +390,7 @@ def entropy_spectral(bp: BranchPair, p, n: int = DEFAULT_ORDER, tol: float = DEF
     exact, of the binary64 values where bp or p is float, so an enclosure
     strictly inside the bracket certifies the estimate.
     """
-    if n < 2:
-        raise DomainError("truncation order must be >= 2")
+    _check_order(n)
     kp = kneading_prefixes(bp, p, n)
     xi = xi_coeffs(kp)
     lo = max((1.0 + float(bp.c_min)) / 2.0, math.nextafter(1.0, 2.0))

@@ -37,9 +37,9 @@ from .errors import (
     RangeError,
     ResourceLimit,
 )
-from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, entropy_laps
+from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, entropy_laps
 from .maps import UPPER, BranchPair, LorenzMap, _coerce, fmt_number
-from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral
+from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, _check_order, entropy_spectral
 
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no-root"
@@ -103,14 +103,26 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     return grid
 
 
+def _checked_order(method: str, n, window) -> int:
+    """n, or the method's default order for None, once the method's own check accepts it."""
+    if method == SPECTRAL:
+        n = DEFAULT_ORDER if n is None else n
+        _check_order(n)
+    elif method == LAPS:
+        n = DEFAULT_ITERATES if n is None else n
+        _check_window(n, window)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    return n
+
+
 def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WINDOW) -> EntropyEstimate:
     """The sweep row's estimate at p: method on the upper map of the exact pair bp; n None takes the method's default."""
-    if method not in (SPECTRAL, LAPS):
-        raise DomainError(f"unknown method {method!r}")
+    n = _checked_order(method, n, window)
     m = LorenzMap(bp, p, UPPER)
     if method == SPECTRAL:
-        return entropy_spectral(m.branches, m.p, DEFAULT_ORDER if n is None else n, tol)
-    return entropy_laps(m, DEFAULT_ITERATES if n is None else n, window)
+        return entropy_spectral(m.branches, m.p, n, tol)
+    return entropy_laps(m, n, window)
 
 
 def _sweep_point(bp, method, n, tol, window, p) -> SweepRecord:
@@ -165,10 +177,10 @@ def sweep(
     the sweep.  ``workers`` > 1 runs the points on at most ``workers``
     processes, the calling one included, so at most ``workers`` - 1 are
     forked, and on no more than the points or the usable CPUs; the output
-    is the same for every worker count.  A grid of more than
-    ``MAX_POINTS`` points raises ResourceLimit before any work.
+    is the same for every worker count.  A bad method, order or window,
+    or a grid of more than ``MAX_POINTS`` points, raises before any work.
     """
-    point = partial(_sweep_point, bp, method, n, tol, window)
+    point = partial(_sweep_point, bp, method, _checked_order(method, n, window), tol, window)
     return _run_points(point, _grid(bp, p_min, p_max, points), workers)
 
 
@@ -222,19 +234,16 @@ def _prominent_peak(x: list, peak: int, tol: float):
     if not tol <= prominence:
         return None
     height = top - prominence  # the contour at rel_height 1.0 (prominence * 1.0 is exact)
-    i = peak
-    while left_base < i and height < x[i]:
-        i -= 1
-    left = float(i)
-    if x[i] < height:
-        left += (height - x[i]) / (x[i + 1] - x[i])
-    i = peak
-    while i < right_base and height < x[i]:
-        i += 1
-    right = float(i)
-    if x[i] < height:
-        right -= (height - x[i]) / (x[i - 1] - x[i])
-    return peak, prominence, left, right
+    edges = []
+    for step, base in ((-1, left_base), (1, right_base)):
+        i = peak
+        while i != base and height < x[i]:
+            i += step
+        edge = float(i)
+        if x[i] < height:  # interpolate toward the peak: the left edge moves right, the right one left
+            edge -= step * (height - x[i]) / (x[i - step] - x[i])
+        edges.append(edge)
+    return peak, prominence, *edges
 
 
 def detect_nonmonotonic(records, prominence_tol: float) -> list:
@@ -248,8 +257,6 @@ def detect_nonmonotonic(records, prominence_tol: float) -> list:
     if not prominence_tol > 0:
         raise DomainError("prominence tolerance must be positive")
     _, ps, hs = _ok_arrays(records)
-    if len(ps) < 3:
-        return []
     idx_axis = np.arange(len(ps))
     features = []
     for sign, direction in ((1.0, BUMP), (-1.0, DIP)):

@@ -387,6 +387,7 @@ class TestArgumentHandling:
             ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "nan"],
             ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "inf"],
             ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol=-1e-7"],
+            ["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--tol", "abc"],
             SWEEP_ARGS + ["--prominence", "nan", "--features-out", "unwritten.json"],
             SWEEP_ARGS + ["--tol", "nan"],
             SWEEP_ARGS + ["--workers", "0"],
@@ -401,7 +402,7 @@ class TestArgumentHandling:
             SWEEP_ARGS + ["--features-out", "."],
         ],
         ids=[
-            "entropy-tol-nan", "entropy-tol-inf", "entropy-tol-negative",
+            "entropy-tol-nan", "entropy-tol-inf", "entropy-tol-negative", "entropy-tol-text",
             "sweep-prominence-nan", "sweep-tol-nan", "sweep-workers-0", "sweep-workers-negative",
             "max-features-minus-1", "max-features-minus-3",
             "compare-tol-nan", "compare-workers-0", "out-directory-missing", "features-out-directory-missing",
@@ -445,6 +446,26 @@ class TestArgumentHandling:
         assert err.startswith("error: InvalidBranch:") and str(spec_file) in err
         assert "Traceback" not in err
         assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("role", ["f0", "f1"])
+    @pytest.mark.parametrize("slope", ["1", "0.9"])
+    def test_affine_slope_at_most_one_in_branch_file_exit_2(self, capsys, tmp_path, role, slope):
+        obj = {"f0": {"type": "affine", "slope": "11/10"}, "f1": {"type": "affine", "slope": "19/10"}}
+        obj[role]["slope"] = slope
+        spec_file = tmp_path / "branches.json"
+        spec_file.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "entropy", "--branches", str(spec_file), "--p", "0.7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: InvalidSlopes: affine branch slope must exceed 1\n"
+
+    def test_unparsable_number_rejected_by_its_own_rule(self):
+        import argparse
+
+        from lorenzmaps.cli import _above
+
+        with pytest.raises(argparse.ArgumentTypeError, match="expected a finite float > 0, got 'abc'"):
+            _above(float, 0)("abc")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
@@ -537,6 +558,30 @@ COMPARE_200 = [
 ]
 
 
+_STEPS_200000 = "200000 orbit steps exceed the cap MAX_STEPS = 150000"
+_LAPS_100000 = "100000 lap steps exceed the cap MAX_ITERATES = 1000"
+
+
+def _run_capped(argv):
+    """The CLI on argv in a child whose address space is capped at 512 MB, so that work begun
+    before a check fails rather than swaps; a run longer than a second exits 99."""
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    code = (
+        "import sys, time; from lorenzmaps.cli import main; "
+        "start = time.perf_counter(); code = main(sys.argv[1:]); "
+        "sys.exit(code if time.perf_counter() - start < 1.0 else 99)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=cap_memory,
+    )
+
+
 class TestInputErrorsBeforeWork:
     @pytest.mark.parametrize(
         "argv",
@@ -566,15 +611,23 @@ class TestInputErrorsBeforeWork:
             ["laps", "--b0", "1.9", "--b1", "1.9", "--p", "1/2", "--n", "20", "--window", "20"],
             COMPARE_200 + ["--laps-n", "0"],
             COMPARE_200 + ["--laps-n", "20", "--window", "20"],
+            SWEEP_ARGS + ["--method", "laps", "--window", "0"],
+            SWEEP_ARGS + ["--method", "laps", "--n", "20", "--window", "20"],
         ],
-        ids=["laps-window-0", "laps-window-n", "compare-laps-n-0", "compare-window-laps-n"],
+        ids=[
+            "laps-window-0", "laps-window-n", "compare-laps-n-0", "compare-window-laps-n",
+            "sweep-laps-window-0", "sweep-laps-window-n",
+        ],
     )
     def test_lap_window_checked_before_work(self, capsys, monkeypatch, argv):
         import lorenzmaps.cli as cli_module
         import lorenzmaps.laps as laps_module
 
         calls = []
-        monkeypatch.setattr(cli_module, "sweep", lambda *args, **kwargs: calls.append("sweep"))
+        if argv[0] != "sweep":
+            monkeypatch.setattr(cli_module, "sweep", lambda *args, **kwargs: calls.append("sweep"))
+        # a sweep runs its points, or forks its helpers, only in _run_points
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "_run_points", lambda *args: calls.append("points"))
         monkeypatch.setattr(laps_module, "lap_states", lambda *args, **kwargs: calls.append("lap_states"))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -584,27 +637,48 @@ class TestInputErrorsBeforeWork:
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_points_past_the_cap_exit_4(self, command):
-        # in a child whose address space is capped, so a grid built before the check fails rather than swaps
-        import resource
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        code = (
-            "import sys, time; from lorenzmaps.cli import main; "
-            "start = time.perf_counter(); code = main(sys.argv[1:]); "
-            "sys.exit(code if time.perf_counter() - start < 1.0 else 99)"
-        )
         argv = [command, "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11",
                 "--points", "10000000000", "--workers", "1"]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        result = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=10,
-            preexec_fn=cap_memory,
-        )
+        result = _run_capped(argv)
         assert result.returncode == 4
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: 10000000000 grid points exceed the cap MAX_POINTS = 1000000"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--n", "200000"], _STEPS_200000),
+            (["kneading", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--n", "1000000000"],
+             "1000000000 orbit steps exceed the cap MAX_STEPS = 150000"),
+            (["laps", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--n", "100000"], _LAPS_100000),
+            (["entropy", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--method", "laps", "--n", "100000"],
+             _LAPS_100000),
+            (SWEEP_ARGS + ["--n", "200000"], _STEPS_200000),
+            (SWEEP_ARGS + ["--method", "laps", "--n", "100000"], _LAPS_100000),
+            (COMPARE_200 + ["--spectral-n", "200000"], _STEPS_200000),
+            (COMPARE_200 + ["--laps-n", "100000"], _LAPS_100000),
+        ],
+        ids=["entropy", "kneading", "laps", "entropy-laps", "sweep", "sweep-laps", "compare-spectral", "compare-laps"],
+    )
+    def test_order_past_the_cap_exit_4(self, argv, message):
+        result = _run_capped(argv)
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
+    def test_the_order_caps_themselves_are_allowed(self, monkeypatch):
+        from lorenzmaps import LorenzMap, ResourceLimit, kneading_prefixes, lap_states, make_affine_pair
+
+        kneading_module, laps_module = sys.modules["lorenzmaps.kneading"], sys.modules["lorenzmaps.laps"]
+        monkeypatch.setattr(kneading_module, "MAX_STEPS", 5)
+        monkeypatch.setattr(laps_module, "MAX_ITERATES", 5)
+        bp = make_affine_pair(Fraction(11, 10), Fraction(19, 10))
+        assert len(kneading_prefixes(bp, Fraction(7, 10), 5).alpha) == 5
+        assert len(lap_states(LorenzMap(bp, Fraction(7, 10)), 5)) == 5
+        with pytest.raises(ResourceLimit, match="MAX_STEPS = 5"):
+            kneading_prefixes(bp, Fraction(7, 10), 6)
+        with pytest.raises(ResourceLimit, match="MAX_ITERATES = 5"):
+            lap_states(LorenzMap(bp, Fraction(7, 10)), 6)
 
     def test_the_cap_itself_is_allowed(self, monkeypatch):
         from lorenzmaps import ResourceLimit, make_affine_pair

@@ -161,6 +161,13 @@ class TestKneadingPrefixes:
         with pytest.raises(DomainError):
             KneadingPair("0110", "1011", beta_period=2)
 
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_period_below_one(self, period):
+        with pytest.raises(DomainError, match="period must be positive"):
+            KneadingPair("0101", "1010", alpha_period=period)
+        with pytest.raises(DomainError, match="period must be positive"):
+            KneadingPair("0101", "1010", beta_period=period)
+
 
 def float_pair(bp):
     # bp with every breakpoint rounded to binary64, the floats passed straight to the constructors

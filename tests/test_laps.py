@@ -126,6 +126,21 @@ class TestBruteforce:
                 assert lap_count_bruteforce(m, n, 10**5) == lap_count(m, n)[0]
 
 
+    @pytest.mark.parametrize("n, grid", [(0, 10), (-1, 10), (3, 1), (3, 0)])
+    def test_argument_checks(self, half_map, n, grid):
+        with pytest.raises(DomainError):
+            lap_count_bruteforce(half_map, n, grid)
+
+    def test_overflowing_rise_bound_named_before_sampling(self, monkeypatch):
+        # 1.9^n overflows binary64 past n = 1105; the oracle says so instead of an OverflowError
+        m = LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(7, 10), UPPER)
+        monkeypatch.setattr(laps.np, "interp", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(DomainError, match=r"n = 1200 exceeds 1105"):
+            lap_count_bruteforce(m, 1200, 1000)
+        with pytest.raises(DomainError, match=r"n = 1106 exceeds 1105"):
+            lap_count_bruteforce(m, 1106, 1000)
+
+
 class TestLapProperties:
     def test_submultiplicative_and_growth(self):
         rng = random.Random(71)

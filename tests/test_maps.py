@@ -24,7 +24,7 @@ from lorenzmaps import (
     make_uniform_pair,
     parse_scalar,
 )
-from lorenzmaps.maps import MAX_EXPONENT, fmt_number
+from lorenzmaps.maps import MAX_EXPONENT, _coerce, fmt_number
 
 F = Fraction
 
@@ -274,6 +274,11 @@ class TestOrbit:
         m = LorenzMap(make_uniform_pair(F(3, 2)), F(1, 2), LOWER)
         assert m.orbit(F(2, 5), 0) == [F(2, 5)]
 
+    def test_negative_steps(self):
+        m = LorenzMap(make_uniform_pair(F(3, 2)), F(1, 2), LOWER)
+        with pytest.raises(DomainError, match="non-negative"):
+            m.orbit(F(2, 5), -1)
+
 
 class TestBranchSpecValidation:
     def test_needs_slope_above_one(self):
@@ -294,6 +299,34 @@ class TestBranchSpecValidation:
         f0 = BranchSpec.affine_from_zero(F(3, 2))
         with pytest.raises(InvalidBranch):
             BranchPair(f0, BranchSpec.affine_from_zero(F(3, 2)))  # f1 must end at 1
+
+    def test_one_breakpoint(self):
+        with pytest.raises(InvalidBranch, match="two breakpoints"):
+            BranchSpec(((0, 0),))
+
+    def test_f0_must_start_at_zero(self):
+        f1 = BranchSpec.affine_to_one(F(3, 2))
+        with pytest.raises(InvalidBranch, match="f0 must start"):
+            BranchPair(BranchSpec(((F(1, 10), 0), (F(1, 2), 1))), f1)
+
+    def test_empty_discontinuity_interval(self):
+        # slopes 3 and 3: b = 1/3 < a = 2/3
+        with pytest.raises(InvalidBranch, match="a > b"):
+            BranchPair(BranchSpec.affine_from_zero(3), BranchSpec.affine_to_one(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 50), st.integers(1, 50)), min_size=1, max_size=5), st.integers(1, 200))
+    def test_domain_shorter_than_one(self, pieces, scale):
+        # why BranchPair needs no 0 < a and b < 1 check: every branch it accepts, rising by 1
+        # with every slope above 1, has a domain shorter than 1
+        runs, rises = zip(*pieces)
+        xs = [F(sum(runs[:i]), scale) for i in range(len(runs) + 1)]
+        ys = [F(sum(rises[:i]), sum(rises)) for i in range(len(rises) + 1)]
+        try:
+            spec = BranchSpec(tuple(zip(xs, ys)))
+        except InvalidBranch:
+            return
+        assert spec.hi - spec.lo < 1
 
 
 class TestSerialization:
@@ -318,6 +351,27 @@ class TestSerialization:
     def test_unknown_type(self):
         with pytest.raises(InvalidBranch):
             BranchPair.from_json_dict({"f0": {"type": "cubic"}, "f1": {"type": "affine", "slope": "2"}})
+
+    @pytest.mark.parametrize("obj", [{"f0": {"type": "affine", "slope": "2"}}, {}, ["f0", "f1"]])
+    def test_missing_branches(self, obj):
+        with pytest.raises(InvalidBranch, match="'f0' and 'f1'"):
+            BranchPair.from_json_dict(obj)
+
+
+class TestCoerce:
+    def test_bool_rejected(self):
+        with pytest.raises(InvalidBranch, match="not a number"):
+            _coerce(True)
+
+    def test_text_parsed(self):
+        assert _coerce("9/19") == F(9, 19)
+        with pytest.raises(DomainError, match="cannot parse"):
+            _coerce("abc")
+
+    @pytest.mark.parametrize("value", [1j, [1], None])
+    def test_unsupported_type(self, value):
+        with pytest.raises(InvalidBranch, match="unsupported numeric type"):
+            _coerce(value)
 
 
 class TestParseScalar:

@@ -1,5 +1,6 @@
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,21 +16,29 @@ def _imported_roots(path):
             yield node.module.split(".")[0]
 
 
-def test_package_does_not_import_scipy():
-    # scipy serves only the tests, as the reference of the built-in peak rule
+def _project():
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def _names(requirements):
+    # a requirement's project name is its leading run of name characters
+    return {re.match(r"[A-Za-z0-9._-]+", req.strip()).group().lower() for req in requirements}
+
+
+def test_package_imports_only_its_declared_dependencies():
+    # the package, the standard library and pyproject's runtime dependencies (numpy); scipy
+    # serves only the tests, as the reference of the built-in peak rule
+    runtime = {name.replace("-", "_") for name in _names(_project()["dependencies"])}
+    allowed = {"lorenzmaps", *sys.stdlib_module_names, *runtime}
     sources = sorted((ROOT / "src" / "lorenzmaps").rglob("*.py"))
     assert sources
-    assert [path.name for path in sources if "scipy" in _imported_roots(path)] == []
+    imports = {(path.name, root) for path in sources for root in _imported_roots(path)}
+    assert sorted((name, root) for name, root in imports if root not in allowed) == []
 
 
 def test_scipy_is_a_test_dependency_only():
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-
-    def names(requirements):
-        # a requirement's project name is its leading run of name characters
-        return {re.match(r"[A-Za-z0-9._-]+", req.strip()).group().lower() for req in requirements}
-
-    assert "scipy" not in names(project["dependencies"])
-    extras = {extra: names(reqs) for extra, reqs in project.get("optional-dependencies", {}).items()}
+    project = _project()
+    assert "scipy" not in _names(project["dependencies"])
+    extras = {extra: _names(reqs) for extra, reqs in project.get("optional-dependencies", {}).items()}
     assert [extra for extra, reqs in extras.items() if "scipy" in reqs] == ["test"]

@@ -236,6 +236,16 @@ class TestMaxRoot:
         assert res == RootResult(2.0, 0.0, (2.0, 2.0), ODD_CROSSING)
 
 
+class TestGrow:
+    def test_zero_span(self):
+        # a start already at the limit: nothing to widen, and the limit counts as hit
+        def g(x):
+            assert x == 2.0, f"evaluated at {x}"
+            return -1.0
+
+        assert spectral._grow(g, 2.0, +1.0, 2.0) == (2.0, True)
+
+
 class TestBracketSanity:
     def test_xi_positive_at_two(self):
         rng = random.Random(59)
@@ -399,7 +409,7 @@ class TestGridKernels:
         for p in np.linspace(9 / 19, 10 / 11, 22)[1:-1]:
             xi = xi_coeffs(kneading_prefixes(bp, float(p), 500))
             vals, events = _scan(xi, xs)
-            got = spectral._first_crossing(xi, xs, vals, events)
+            got = spectral._first_crossing(xi, xs, vals)
             assert _bits(got) == _bits(_first_crossing_reference(xi, xs, vals, events))
 
     def test_first_crossing_finds_hidden_pair_after_suspicious_cells(self):
@@ -411,7 +421,7 @@ class TestGridKernels:
         cells = _suspicious_cells(xs, vals, events)
         assert pair_cell in cells and lower_pair_cell in cells
         assert np.count_nonzero(cells < pair_cell) >= 2
-        got = spectral._first_crossing(xi, xs, vals, events)
+        got = spectral._first_crossing(xi, xs, vals)
         assert 1.70 < got[2] < got[0] < 1.71 and got[1] * got[3] <= 0
         assert _bits(got) == _bits(_first_crossing_reference(xi, xs, vals, events))
 
@@ -423,7 +433,7 @@ class TestGridKernels:
         vals, events = _scan(xi, xs)
         cells = _suspicious_cells(xs, vals, events)
         assert np.count_nonzero(cells < 1483) > 1024
-        got = spectral._first_crossing(xi, xs, vals, events)
+        got = spectral._first_crossing(xi, xs, vals)
         assert 1.7032 < got[2] < got[0] < 1.7034
         assert _bits(got) == _bits(_first_crossing_reference(xi, xs, vals, events))
 
@@ -431,7 +441,13 @@ class TestGridKernels:
         bp = make_affine_pair(F(11, 10), F(19, 10))
         new = csv_text(sweep(bp, F(9, 19), F(10, 11), 40, "spectral"))
         monkeypatch.setattr(spectral, "_eval_grid", _eval_grid_reference)
-        monkeypatch.setattr(spectral, "_first_crossing", _first_crossing_reference)
+
+        def reference(xi, xs, vals):
+            # the scan rows' grid events, in scan order, as the reference takes them
+            sgn = np.sign(vals)
+            return _first_crossing_reference(xi, xs, vals, np.flatnonzero(sgn[..., :-1] * sgn[..., 1:] <= 0))
+
+        monkeypatch.setattr(spectral, "_first_crossing", reference)
         assert csv_text(sweep(bp, F(9, 19), F(10, 11), 40, "spectral")) == new
 
 

@@ -21,6 +21,7 @@ from lorenzmaps import (
     InsufficientData,
     LorenzError,
     RangeError,
+    ResourceLimit,
     SweepRecord,
     compare_methods,
     continuity_modulus,
@@ -112,6 +113,46 @@ class TestSweep:
         for method in ("bogus", "transfer-operator"):
             with pytest.raises(DomainError, match="unknown method"):
                 sweep(bp, F(2, 5), F(3, 5), 3, method=method)
+
+
+    @pytest.mark.parametrize(
+        "method, n, window, error",
+        [
+            ("bogus", None, 10, DomainError),
+            ("spectral", 1, 10, DomainError),
+            ("spectral", "cap", 10, ResourceLimit),
+            ("laps", 20, 20, DomainError),
+            ("laps", None, 0, DomainError),
+            ("laps", "cap", 10, ResourceLimit),
+        ],
+        ids=["method", "spectral-n-1", "spectral-n-past-cap", "laps-window-n", "laps-window-0", "laps-n-past-cap"],
+    )
+    def test_point_parameters_checked_before_the_grid(self, monkeypatch, method, n, window, error):
+        if n == "cap":
+            module, cap = ("kneading", "MAX_STEPS") if method == "spectral" else ("laps", "MAX_ITERATES")
+            n = getattr(importlib.import_module(f"lorenzmaps.{module}"), cap) + 1
+        calls = []
+        monkeypatch.setattr(sweep_module, "_grid", lambda *args: calls.append("grid"))
+        monkeypatch.setattr(sweep_module, "_run_points", lambda *args: calls.append("points"))
+        with pytest.raises(error):
+            sweep(make_uniform_pair(F(3, 2)), F(2, 5), F(3, 5), 3, method, n=n, window=window)
+        assert calls == []
+
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_range_collapses_inside_the_margins(self, points):
+        # over all of [a, b], 2 or 3 points leave no room once each end moves in by a spacing
+        bp = make_uniform_pair(F(3, 2))
+        with pytest.raises(RangeError, match="collapses"):
+            sweep(bp, bp.a, bp.b, points)
+
+    def test_resource_limit_rows(self, monkeypatch):
+        # a class cap below the lap count of every point: each row reads resource-limit, and the sweep ends
+        monkeypatch.setattr(importlib.import_module("lorenzmaps.laps"), "MAX_CLASSES", 2)
+        recs = sweep(make_affine_pair(F(11, 10), F(19, 10)), F(1, 2), F(4, 5), 4, "laps", workers=1)
+        assert [r.status for r in recs] == ["resource-limit"] * 4
+        assert all(r.estimate is None for r in recs)
+        rows = csv_text(recs).splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [["", "", "", "", "", "resource-limit"]] * 4
 
 
 @pytest.fixture
@@ -258,6 +299,16 @@ class TestDetectNonmonotonic:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(DomainError):
             detect_nonmonotonic([ok_record(0.1, 0.5)], math.nan)
+
+    @pytest.mark.parametrize("ok", [0, 1, 2])
+    def test_fewer_than_three_ok_records(self, ok):
+        # the curve 0.5, 0.4, 0.5 dips once all three points are ok; failed records do not count
+        ps, hs = (0.1, 0.2, 0.3), (0.5, 0.4, 0.5)
+        recs = [ok_record(p, h) if k < ok else SweepRecord(p, None, "no-root") for k, (p, h) in enumerate(zip(ps, hs))]
+        assert detect_nonmonotonic(recs, 0.01) == []
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        feature = sweep_module.NonMonotoneFeature(0.1, 0.3, 0.1, DIP)
+        assert cross_confirm_features(bp, recs, [feature], prominence_tol=0.01) == []
 
 
 def _scipy_peaks(x, tol):

@@ -22,9 +22,9 @@ from pathlib import Path
 
 from .errors import InvalidBranch, LorenzError, NoRootFound, ResourceLimit
 from .kneading import kneading_prefixes
-from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, lap_report
+from .laps import lap_parameters, lap_report
 from .maps import UPPER, BranchPair, LorenzMap, fmt_number, make_affine_pair, parse_scalar
-from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL
+from .spectral import LAPS, SPECTRAL, spectral_parameters
 from .sweep import (
     compare_methods,
     cross_confirm_features,
@@ -49,9 +49,9 @@ def _add_shared_args(sub, *names):
         "--p-max": {"required": True},
         "--points": {"type": int, "required": True},
         "--method": {"choices": (SPECTRAL, LAPS), "default": SPECTRAL},
-        "--n": {"type": int, "default": None},
-        "--tol": {"type": _above(float, 0), "default": DEFAULT_TOL},
-        "--window": {"type": int, "default": DEFAULT_WINDOW},
+        "--n": {"type": int},
+        "--tol": {"type": _above(float, 0)},
+        "--window": {"type": int},
         "--workers": {"type": _above(int, 0), "default": None},
     }
     for name in names:
@@ -64,7 +64,7 @@ def _load_pair(args) -> BranchPair:
             raise LorenzError("give either --b0/--b1 or --branches, not both")
         with open(args.branches, "r", encoding="utf-8") as handle:
             try:
-                obj = json.load(handle)
+                obj = json.load(handle, parse_float=str)
             except (ValueError, RecursionError) as exc:
                 # the cause is cut short: the digit-limit message alone runs past 130 characters
                 raise InvalidBranch(f"{args.branches}: not a readable JSON file ({str(exc)[:80]})") from exc
@@ -121,17 +121,18 @@ def _cmd_kneading(args) -> int:
 
 def _cmd_laps(args) -> int:
     m = LorenzMap(_load_pair(args), parse_scalar(args.p), UPPER)
-    est, state = lap_report(m, args.n, args.window)
+    n, window = lap_parameters(args.n, args.window)
+    est, state = lap_report(m, n, window)
     laps = state.total_laps
     _emit(
         {
             "p": _json_number(m.p),
-            "order": args.n,
-            "window": args.window,
+            "order": n,
+            "window": window,
             "laps": str(laps),
             "variation": _json_number(state.total_variation),
             "entropy": est.entropy,
-            "lap_rate": math.log(laps) / args.n,
+            "lap_rate": math.log(laps) / n,
             "error_bound": est.error_bound,
         }
     )
@@ -177,16 +178,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     bp = _load_pair(args)
-    _check_window(args.laps_n, args.window)
+    laps_n, _ = lap_parameters(args.laps_n, args.window)
     grid = (bp, parse_scalar(args.p_min), parse_scalar(args.p_max), args.points)
+    spectral_n, _ = spectral_parameters(args.spectral_n, args.tol)
     spectral = sweep(*grid, SPECTRAL, n=args.spectral_n, tol=args.tol, workers=args.workers)
     laps_records = sweep(*grid, LAPS, n=args.laps_n, window=args.window, workers=args.workers)
     max_diff, mean_diff, worst_p = compare_methods(spectral, laps_records)
     _emit(
         {
             "points": args.points,
-            "spectral_n": args.spectral_n,
-            "laps_n": args.laps_n,
+            "spectral_n": spectral_n,
+            "laps_n": laps_n,
             "max_abs_diff": max_diff,
             "mean_abs_diff": mean_diff,
             "worst_p": worst_p,
@@ -215,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     laps = subs.add_parser("laps", help="lap count, variation and lap entropy at p")
     _add_branch_args(laps)
-    _add_shared_args(laps, "--p", "--window")
-    laps.add_argument("--n", type=int, default=DEFAULT_ITERATES)
+    _add_shared_args(laps, "--p", "--window", "--n")
     laps.set_defaults(func=_cmd_laps)
 
     swp = subs.add_parser("sweep", help="entropy curve over a p range")
@@ -234,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp = subs.add_parser("compare", help="spectral vs lap entropy on a shared grid")
     _add_branch_args(comp)
     _add_shared_args(comp, "--p-min", "--p-max", "--points", "--tol", "--window", "--workers")
-    comp.add_argument("--spectral-n", type=int, default=DEFAULT_ORDER)
-    comp.add_argument("--laps-n", type=int, default=DEFAULT_ITERATES)
+    comp.add_argument("--spectral-n", type=int)
+    comp.add_argument("--laps-n", type=int)
     comp.set_defaults(func=_cmd_compare)
 
     return parser

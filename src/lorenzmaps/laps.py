@@ -155,31 +155,30 @@ def _ln(value: Fraction) -> float:
     return math.log(value.numerator) - math.log(value.denominator)
 
 
-def entropy_laps(
-    m: LorenzMap,
-    n: int = DEFAULT_ITERATES,
-    window: int = DEFAULT_WINDOW,
-) -> EntropyEstimate:
+def entropy_laps(m: LorenzMap, n: int | None = None, window: int | None = None) -> EntropyEstimate:
     """Entropy as the windowed growth rate of the lap-image variation.
 
     entropy = (ln Var(T^n) - ln Var(T^{n-window})) / window; the error
     field is the heuristic |slope(n) - slope(n-window)| (with the early
     window shortened when n < 2*window), and the estimate is never
-    certified.
+    certified.  None for n or window takes the default (lap_parameters).
     """
     return lap_report(m, n, window)[0]
 
 
-def _check_window(n: int, window: int) -> None:
-    """The lap estimator's check of its parameters, before any work: n > window >= 1, n within MAX_ITERATES."""
+def lap_parameters(n: int | None, window: int | None) -> tuple:
+    """(n, window), None read as DEFAULT_ITERATES or DEFAULT_WINDOW, once n > window >= 1 and n <= MAX_ITERATES."""
+    n = DEFAULT_ITERATES if n is None else n
+    window = DEFAULT_WINDOW if window is None else window
     if window < 1 or n <= window:
         raise DomainError("need n > window >= 1")
     _check_iterates(n)
+    return n, window
 
 
-def lap_report(m: LorenzMap, n: int, window: int):
+def lap_report(m: LorenzMap, n: int | None, window: int | None):
     """(entropy_laps(m, n, window), the LapState of T^n), from one lap_states call."""
-    _check_window(n, window)
+    n, window = lap_parameters(n, window)
     states = lap_states(m, n)
     k = n - window
     start = max(k - window, 0)

@@ -310,8 +310,7 @@ def max_root(xi: XiPolynomial, lo: float, hi: float, tol: float) -> RootResult:
     lo, hi = float(lo), float(hi)
     if not (1.0 < lo < hi <= 2.0):
         raise DomainError(f"bracket must satisfy 1 < lo < hi <= 2, got ({lo}, {hi})")
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
+    _check_tol(tol)
 
     hit = _first_crossing(xi, *_scan(xi, lo, hi, RANGE_CELLS * max(xi.order, 2)))
     if hit is None:
@@ -374,23 +373,33 @@ def _uncertainty_interval(xi, root, lo, hi):
     return x_lo, x_hi, not (hit_lo or hit_hi)
 
 
-def _check_order(n: int) -> None:
-    """The spectral estimator's check of its order, before any work: 2 <= n <= kneading.MAX_STEPS."""
+def _check_tol(tol) -> None:
+    if not tol > 0.0:
+        raise DomainError("tolerance must be positive")
+
+
+def spectral_parameters(n: int | None, tol: float | None) -> tuple:
+    """(n, tol), None read as DEFAULT_ORDER or DEFAULT_TOL, once 2 <= n <= kneading.MAX_STEPS and tol > 0."""
+    n = DEFAULT_ORDER if n is None else n
+    tol = DEFAULT_TOL if tol is None else tol
     if n < 2:
         raise DomainError("truncation order must be >= 2")
     _check_steps(n)
+    _check_tol(tol)
+    return n, tol
 
 
-def entropy_spectral(bp: BranchPair, p, n: int = DEFAULT_ORDER, tol: float = DEFAULT_TOL) -> EntropyEstimate:
+def entropy_spectral(bp: BranchPair, p, n: int | None = None, tol: float | None = None) -> EntropyEstimate:
     """Entropy of the maps at p from the order-n kneading series truncation.
 
     The root bracket is ((1 + c_min)/2, 2], floored just above 1; the error
     bound is the half-width, on the log scale, of the interval on which the
     truncated series stays within twice its tail bound.  The kneading is
     exact, of the binary64 values where bp or p is float, so an enclosure
-    strictly inside the bracket certifies the estimate.
+    strictly inside the bracket certifies the estimate.  None for n or tol
+    takes the default (spectral_parameters).
     """
-    _check_order(n)
+    n, tol = spectral_parameters(n, tol)
     kp = kneading_prefixes(bp, p, n)
     xi = xi_coeffs(kp)
     lo = max((1.0 + float(bp.c_min)) / 2.0, math.nextafter(1.0, 2.0))

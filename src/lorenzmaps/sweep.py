@@ -37,9 +37,9 @@ from .errors import (
     RangeError,
     ResourceLimit,
 )
-from .laps import DEFAULT_ITERATES, DEFAULT_WINDOW, _check_window, entropy_laps
+from .laps import entropy_laps, lap_parameters
 from .maps import UPPER, BranchPair, LorenzMap, _coerce, fmt_number
-from .spectral import DEFAULT_ORDER, DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, _check_order, entropy_spectral
+from .spectral import DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral, spectral_parameters
 
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no-root"
@@ -103,22 +103,10 @@ def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
     return grid
 
 
-def _checked_order(method: str, n, window) -> int:
-    """n, or the method's default order for None, once the method's own check accepts it."""
-    if method == SPECTRAL:
-        n = DEFAULT_ORDER if n is None else n
-        _check_order(n)
-    elif method == LAPS:
-        n = DEFAULT_ITERATES if n is None else n
-        _check_window(n, window)
-    else:
+def estimate(bp, p, method: str, *, n=None, tol=None, window=None) -> EntropyEstimate:
+    """The sweep row's estimate at p: method on the upper map of the exact pair bp; a None parameter takes its default."""
+    if method not in (SPECTRAL, LAPS):
         raise DomainError(f"unknown method {method!r}")
-    return n
-
-
-def estimate(bp, p, method: str, *, n=None, tol=DEFAULT_TOL, window=DEFAULT_WINDOW) -> EntropyEstimate:
-    """The sweep row's estimate at p: method on the upper map of the exact pair bp; n None takes the method's default."""
-    n = _checked_order(method, n, window)
     m = LorenzMap(bp, p, UPPER)
     if method == SPECTRAL:
         return entropy_spectral(m.branches, m.p, n, tol)
@@ -167,8 +155,8 @@ def sweep(
     method: str = SPECTRAL,
     *,
     n: int | None = None,
-    tol: float = DEFAULT_TOL,
-    window: int = DEFAULT_WINDOW,
+    tol: float | None = None,
+    window: int | None = None,
     workers: int | None = None,
 ) -> list:
     """Entropy records of the exact pair bp on an equally spaced grid of p values.
@@ -177,10 +165,17 @@ def sweep(
     the sweep.  ``workers`` > 1 runs the points on at most ``workers``
     processes, the calling one included, so at most ``workers`` - 1 are
     forked, and on no more than the points or the usable CPUs; the output
-    is the same for every worker count.  A bad method, order or window,
-    or a grid of more than ``MAX_POINTS`` points, raises before any work.
+    is the same for every worker count.  n, tol and window reach each point
+    as given; a bad method, a parameter its estimator's own check rejects,
+    or a grid of more than ``MAX_POINTS`` points raises before any work.
     """
-    point = partial(_sweep_point, bp, method, _checked_order(method, n, window), tol, window)
+    if method == SPECTRAL:
+        spectral_parameters(n, tol)
+    elif method == LAPS:
+        lap_parameters(n, window)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    point = partial(_sweep_point, bp, method, n, tol, window)
     return _run_points(point, _grid(bp, p_min, p_max, points), workers)
 
 
@@ -337,7 +332,7 @@ def cross_confirm_features(
         if i_hi - i_lo >= 2:
             spans.append((feat, i_lo, i_hi))
     union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
-    point = partial(_sweep_point, bp, other, None, DEFAULT_TOL, DEFAULT_WINDOW)
+    point = partial(_sweep_point, bp, other, None, None, None)
     other_at = dict(zip(union, _run_points(point, [ok[i].p for i in union], workers)))
     confirmed = []
     for feat, i_lo, i_hi in spans:

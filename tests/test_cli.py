@@ -148,6 +148,15 @@ class TestLapsCommand:
         assert payload["entropy"] == pytest.approx(math.log(1.5), abs=1e-12)
         assert payload["lap_rate"] > 0
 
+    def test_default_order_and_window(self, capsys):
+        # without --n and --window the lap estimator's own defaults, 50 and 10, apply and are printed
+        argv = ["laps", "--b0", "1.1", "--b1", "1.9", "--p", "0.7"]
+        default = run_cli(capsys, *argv)
+        assert default == run_cli(capsys, *argv, "--n", "50", "--window", "10")
+        assert default[0] == 0
+        payload = json.loads(default[1])
+        assert (payload["order"], payload["window"]) == (50, 10)
+
     def test_exact_variation_past_binary64(self, capsys, monkeypatch):
         import lorenzmaps.laps as laps_module
         from lorenzmaps import LapState
@@ -349,6 +358,15 @@ class TestCompareCommand:
         assert payload["max_abs_diff"] <= 1e-3
         assert payload["mean_abs_diff"] <= payload["max_abs_diff"]
 
+    def test_default_orders(self, capsys):
+        # without orders each estimator's defaults apply, and compare prints them
+        argv = ["compare", "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11", "--points", "12"]
+        default = run_cli(capsys, *argv, "--workers", "1")
+        assert default == run_cli(capsys, *argv, "--spectral-n", "500", "--laps-n", "50", "--workers", "1")
+        assert default[0] == 0
+        payload = json.loads(default[1])
+        assert (payload["spectral_n"], payload["laps_n"]) == (500, 50)
+
 
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
@@ -458,6 +476,17 @@ class TestArgumentHandling:
         assert code == 2
         assert out == ""
         assert err == "error: InvalidSlopes: affine branch slope must exceed 1\n"
+
+    def test_branch_file_numbers_read_as_written(self, capsys, tmp_path):
+        # a JSON number is read from its text, not from its binary64 rounding (which is exactly 1)
+        text = '{"f0": {"type": "affine", "slope": %s}, "f1": {"type": "affine", "slope": 1.9}}'
+        outputs = []
+        for slope in ("1.00000000000000000001", '"1.00000000000000000001"'):
+            spec_file = tmp_path / "branches.json"
+            spec_file.write_text(text % slope)
+            outputs.append(run_cli(capsys, "laps", "--branches", str(spec_file), "--p", "0.7"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
     def test_unparsable_number_rejected_by_its_own_rule(self):
         import argparse

@@ -42,3 +42,31 @@ def test_scipy_is_a_test_dependency_only():
     assert "scipy" not in _names(project["dependencies"])
     extras = {extra: _names(reqs) for extra, reqs in project.get("optional-dependencies", {}).items()}
     assert [extra for extra, reqs in extras.items() if "scipy" in reqs] == ["test"]
+
+
+def test_each_default_is_named_only_by_its_estimator():
+    # the estimators' parameter functions read None as these defaults; no other module names them
+    owned = {"DEFAULT_ORDER", "DEFAULT_ITERATES", "DEFAULT_WINDOW"}
+    sources = {path.name: ast.parse(path.read_text(), str(path)) for path in (ROOT / "src" / "lorenzmaps").glob("*.py")}
+    owners = {
+        target.id: name
+        for name, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in owned
+    }
+    assert sorted(owners) == sorted(owned)
+    stray = set()
+    for name, tree in sources.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                found = [alias.name for alias in node.names]
+            else:
+                continue
+            stray.update((name, ref) for ref in found if ref in owned and owners[ref] != name)
+    assert sorted(stray) == []

@@ -116,18 +116,23 @@ class TestSweep:
 
 
     @pytest.mark.parametrize(
-        "method, n, window, error",
+        "method, n, tol, window, error",
         [
-            ("bogus", None, 10, DomainError),
-            ("spectral", 1, 10, DomainError),
-            ("spectral", "cap", 10, ResourceLimit),
-            ("laps", 20, 20, DomainError),
-            ("laps", None, 0, DomainError),
-            ("laps", "cap", 10, ResourceLimit),
+            ("bogus", None, None, 10, DomainError),
+            ("spectral", 1, None, 10, DomainError),
+            ("spectral", "cap", None, 10, ResourceLimit),
+            ("spectral", None, 0.0, None, DomainError),
+            ("spectral", None, math.nan, None, DomainError),
+            ("laps", 20, None, 20, DomainError),
+            ("laps", None, None, 0, DomainError),
+            ("laps", "cap", None, 10, ResourceLimit),
         ],
-        ids=["method", "spectral-n-1", "spectral-n-past-cap", "laps-window-n", "laps-window-0", "laps-n-past-cap"],
+        ids=[
+            "method", "spectral-n-1", "spectral-n-past-cap", "spectral-tol-0", "spectral-tol-nan",
+            "laps-window-n", "laps-window-0", "laps-n-past-cap",
+        ],
     )
-    def test_point_parameters_checked_before_the_grid(self, monkeypatch, method, n, window, error):
+    def test_point_parameters_checked_before_the_grid(self, monkeypatch, method, n, tol, window, error):
         if n == "cap":
             module, cap = ("kneading", "MAX_STEPS") if method == "spectral" else ("laps", "MAX_ITERATES")
             n = getattr(importlib.import_module(f"lorenzmaps.{module}"), cap) + 1
@@ -135,8 +140,31 @@ class TestSweep:
         monkeypatch.setattr(sweep_module, "_grid", lambda *args: calls.append("grid"))
         monkeypatch.setattr(sweep_module, "_run_points", lambda *args: calls.append("points"))
         with pytest.raises(error):
-            sweep(make_uniform_pair(F(3, 2)), F(2, 5), F(3, 5), 3, method, n=n, window=window)
+            sweep(make_uniform_pair(F(3, 2)), F(2, 5), F(3, 5), 3, method, n=n, tol=tol, window=window)
         assert calls == []
+
+    def test_lap_sweep_ignores_tol(self):
+        # the lap method has no tolerance, so a spectral-only bad value does not stop it
+        recs = sweep(make_uniform_pair(F(3, 2)), F(2, 5), F(3, 5), 3, "laps", n=12, window=4, tol=0.0, workers=1)
+        assert [r.status for r in recs] == ["ok"] * 3
+
+    def test_points_receive_the_callers_order(self, monkeypatch):
+        # a sweep hands its n to the estimator unchanged: None stays None, so the estimator picks its default
+        seen = []
+        real = sweep_module.entropy_spectral
+
+        def recording(bp, p, n, tol):
+            seen.append(n)
+            return real(bp, p, n, tol)
+
+        monkeypatch.setattr(sweep_module, "entropy_spectral", recording)
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        default = sweep(bp, F(3, 5), F(4, 5), 3, workers=1)
+        assert seen == [None] * 3
+        assert [r.estimate.order for r in default] == [500] * 3
+        seen.clear()
+        sweep(bp, F(3, 5), F(4, 5), 3, n=40, workers=1)
+        assert seen == [40] * 3
 
     @pytest.mark.parametrize("points", [2, 3])
     def test_range_collapses_inside_the_margins(self, points):

@@ -10,8 +10,9 @@ under the lower map and beta under the upper map; for p strictly inside
 Symbol words are plain '0'/'1' strings, so Python's string order is the
 lexicographic order with 0 < 1.
 
-Every word comes from one exact integer orbit of an exact map, and a
-period is reported exactly when T^k(p) = p.
+Every word comes from one exact integer orbit of an exact map.  A walk
+from p reads its period off the same comparison with p that gives each
+symbol, so a period is reported exactly when T^k(p) = p.
 """
 
 from __future__ import annotations
@@ -20,18 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, LengthMismatch, ResourceLimit
+from .errors import DomainError, ResourceLimit
 from .maps import LOWER, UPPER, BranchPair, BranchSpec, LorenzMap, _coerce
 
-LESS, EQUAL, GREATER = -1, 0, 1
 #: _integer_walk raises ResourceLimit past this many steps, before the first one; the spectral
 #: estimate at this order took 49 s and 59 s on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
 MAX_STEPS = 150_000
-
-
-def _check_word(word: str) -> None:
-    if word.strip("01"):
-        raise DomainError(f"symbol words may contain only '0' and '1': {word!r}")
 
 
 @dataclass(frozen=True)
@@ -44,19 +39,23 @@ class KneadingPair:
     beta_period: int | None = None
 
     def __post_init__(self):
-        _check_word(self.alpha)
-        _check_word(self.beta)
         for word, period in ((self.alpha, self.alpha_period), (self.beta, self.beta_period)):
+            if word.strip("01"):
+                raise DomainError(f"symbol words may contain only '0' and '1': {word!r}")
             if period is None:
                 continue
-            if period < 1:
-                raise DomainError(f"period must be positive, got {period}")
+            if not 1 <= period <= len(word):
+                raise DomainError(f"period must be positive and at most the word length {len(word)}, got {period}")
             if any(word[k + period] != word[k] for k in range(len(word) - period)):
                 raise DomainError(f"word {word!r} is not {period}-periodic")
 
 
 def itinerary(m: LorenzMap, x, n: int) -> str:
-    """First n itinerary symbols of x under m (n >= 1); a float x is read at its binary64 value."""
+    """First n itinerary symbols of x under m (n >= 1); a float x is read at its binary64 value.
+
+    The walk stops early only from p itself, at its period; from any other x
+    it takes all n steps.
+    """
     if n < 1:
         raise DomainError("itinerary length must be >= 1")
     x = _coerce(x)
@@ -84,22 +83,29 @@ def _integer_pieces(spec: BranchSpec):
 def _integer_walk(m: LorenzMap, x: Fraction, n: int):
     """(first n itinerary symbols of x, certified period) from one integer orbit of x in [0, 1].
 
-    The period is the smallest k <= n with T^k(x) = x, or None.  An orbit
-    value is an unreduced pair (N, D) with D > 0; a piece y = (A*x + B)/C
-    steps it to (A*N + B*D, C*D), and every comparison with p, a breakpoint
-    or x is a cross-multiplication, so no step pays for a gcd.  A certified
-    period k makes the word k-periodic, so the walk stops there.  An n past
+    An orbit value is an unreduced pair (N, D) with D > 0; a piece
+    y = (A*x + B)/C steps it to (A*N + B*D, C*D), and every comparison with
+    p or a breakpoint is a cross-multiplication, so no step pays for a gcd.
+    Each symbol comes from the value's offset N*pd - pn*D from p.  A walk
+    from p reads its period off that offset too: T^k(p) = p exactly when the
+    offset is 0 at step k + 1, so the smallest such k <= n is the certified
+    period, and the walk stops there with the word repeated.  A walk from
+    any other x has period None and takes all n steps.  An n past
     MAX_STEPS raises ResourceLimit before any step.
     """
     _check_steps(n)
     f0, f1 = _integer_pieces(m.branches.f0), _integer_pieces(m.branches.f1)
     pn, pd = m.p.numerator, m.p.denominator
-    xn, xd = x.numerator, x.denominator
+    from_p = x == m.p
     upper = m.side == UPPER
-    num, den = xn, xd
+    num, den = x.numerator, x.denominator
     word = []
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         offset = num * pd - pn * den
+        if offset == 0 and k and from_p:  # T^k(p) = p
+            return ("".join(word) * (n // k + 1))[:n], k
+        if k == n:
+            return "".join(word), None
         right = offset >= 0 if upper else offset > 0
         word.append("1" if right else "0")
         cuts, pieces = f1 if right else f0
@@ -110,9 +116,6 @@ def _integer_walk(m: LorenzMap, x: Fraction, n: int):
             i += 1
         a, b, c = pieces[i]
         num, den = a * num + b * den, c * den
-        if num * xd == xn * den:
-            return ("".join(word) * (n // k + 1))[:n], k
-    return "".join(word), None
 
 
 def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
@@ -128,18 +131,3 @@ def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
     alpha, alpha_period = _integer_walk(lower, lower.p, n)
     beta, beta_period = _integer_walk(upper, upper.p, n)
     return KneadingPair(alpha, beta, alpha_period, beta_period)
-
-
-def detect_period(bp: BranchPair, p, side: str, n_max: int) -> int | None:
-    """Certified smallest n <= n_max with T^n(p) = p, or None; n_max <= 0 gives None."""
-    m = LorenzMap(bp, p, side)
-    return _integer_walk(m, m.p, n_max)[1]
-
-
-def compare_lex(u: str, v: str) -> int:
-    """-1, 0 or +1 as u precedes, equals or follows v lexicographically."""
-    _check_word(u)
-    _check_word(v)
-    if len(u) != len(v):
-        raise LengthMismatch(f"word lengths differ: {len(u)} vs {len(v)}")
-    return (u > v) - (u < v)

@@ -68,12 +68,12 @@ class XiPolynomial:
     periodic_form: PeriodicForm | None = None
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
         if not coeffs:
             raise DomainError("coefficient list must not be empty")
-        if any(c not in (-1, 0, 1) for c in coeffs):
+        if any(c not in (-1, 0, 1) for c in coeffs):  # before int(), which would truncate 0.5 to 0
             raise DomainError("coefficients must lie in {-1, 0, 1}")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
     @property
     def order(self) -> int:

@@ -6,19 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import lorenzmaps.kneading as kneading
 from lorenzmaps import (
-    EQUAL,
-    GREATER,
-    LESS,
     LOWER,
     UPPER,
     BranchPair,
     BranchSpec,
     DomainError,
     KneadingPair,
-    LengthMismatch,
     LorenzMap,
-    compare_lex,
-    detect_period,
     itinerary,
     kneading_prefixes,
     make_affine_pair,
@@ -85,6 +79,27 @@ class TestItinerary:
                 continue
             assert itinerary(m, m(x), n) == itinerary(m, x, n + 1)[1:]
 
+    # a walk from x != p never stops early, whether or not x is periodic
+    def test_upper_two_cycle_from_its_other_point(self):
+        m = LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), UPPER)
+        assert itinerary(m, F(2, 5), 9) == "010101010"
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 200])
+    def test_fixed_endpoints(self, n):
+        m = LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), UPPER)
+        assert itinerary(m, 0, n) == "0" * n
+        assert itinerary(m, 1, n) == "1" * n
+
+    @pytest.mark.parametrize("p, period", [(F(3, 5), 2), (F(7, 13), 4)])
+    def test_points_of_a_periodic_orbit_of_p_read_shifted_beta(self, p, period):
+        bp = make_uniform_pair(F(3, 2))
+        m = LorenzMap(bp, p, UPPER)
+        n = 11
+        beta = kneading_prefixes(bp, p, n + period).beta
+        assert kneading_prefixes(bp, p, n).beta_period == period
+        for j, x in enumerate(m.orbit(p, period)):
+            assert itinerary(m, x, n) == beta[j : j + n]
+
 
 class TestKneadingPrefixes:
     def test_periodic_beta(self):
@@ -110,9 +125,9 @@ class TestKneadingPrefixes:
             p = bp.a + F(rng.randint(1, 9999), 10000) * (bp.b - bp.a)
             kp = kneading_prefixes(bp, p, 12)
             assert kp.alpha[0] == "0" and kp.beta[0] == "1"
-            assert compare_lex(kp.alpha, kp.beta) == LESS
+            assert kp.alpha < kp.beta
 
-    def test_one_walk_matches_itinerary_and_detect_period(self):
+    def test_one_walk_matches_itinerary_and_orbit_oracle(self):
         cases = [(make_uniform_pair(F(3, 2)), F(3, 5)), (make_uniform_pair(F(3, 2)), F(2, 5))]
         bp = make_affine_pair(F(11, 10), F(19, 10))
         rng = random.Random(37)
@@ -122,11 +137,12 @@ class TestKneadingPrefixes:
                 kp = kneading_prefixes(bp, p, n)
                 assert kp.alpha == itinerary(LorenzMap(bp, p, LOWER), p, n)
                 assert kp.beta == itinerary(LorenzMap(bp, p, UPPER), p, n)
-                assert kp.alpha_period == detect_period(bp, p, LOWER, n)
-                assert kp.beta_period == detect_period(bp, p, UPPER, n)
+                assert kp.alpha_period == orbit_walk_oracle(bp, p, n, LOWER)[1]
+                assert kp.beta_period == orbit_walk_oracle(bp, p, n, UPPER)[1]
         # the period is found on the n-th application, one past the last symbol
         assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 2).beta_period == 2
         assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(2, 5), 2).alpha_period == 2
+        assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(7, 13), 4).beta_period == 4
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_length_below_one_rejected_in_both_modes(self, n):
@@ -167,6 +183,19 @@ class TestKneadingPrefixes:
             KneadingPair("0101", "1010", alpha_period=period)
         with pytest.raises(DomainError, match="period must be positive"):
             KneadingPair("0101", "1010", beta_period=period)
+
+    def test_period_longer_than_word(self):
+        # a period past the word would stand for symbols the word does not hold
+        with pytest.raises(DomainError, match="at most the word length 2"):
+            KneadingPair("01", "10", beta_period=3)
+        with pytest.raises(DomainError, match="at most the word length 2"):
+            KneadingPair("01", "10", alpha_period=3)
+        assert KneadingPair("01", "10", alpha_period=2, beta_period=2).beta_period == 2
+
+    def test_non_binary_symbols(self):
+        for alpha, beta in (("012", "100"), ("011", "1a0")):
+            with pytest.raises(DomainError, match="only '0' and '1'"):
+                KneadingPair(alpha, beta)
 
 
 def float_pair(bp):
@@ -246,50 +275,31 @@ class TestIntegerWalk:
 
 
 class TestDetectPeriod:
+    """The walk from p detects its period; kneading_prefixes reports it."""
+
     def test_two_cycle(self):
-        bp = make_uniform_pair(F(3, 2))
-        assert detect_period(bp, F(3, 5), UPPER, 10) == 2
+        kp = kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 10)
+        assert kp.beta_period == 2
 
     def test_absent_at_half(self):
-        bp = make_uniform_pair(F(3, 2))
-        assert detect_period(bp, F(1, 2), UPPER, 20) is None
+        kp = kneading_prefixes(make_uniform_pair(F(3, 2)), F(1, 2), 20)
+        assert kp.alpha_period is None and kp.beta_period is None
 
     def test_lower_absent_within_three(self):
-        bp = make_uniform_pair(F(3, 2))
-        assert detect_period(bp, F(3, 5), LOWER, 3) is None
+        assert kneading_prefixes(make_uniform_pair(F(3, 2)), F(3, 5), 3).alpha_period is None
 
     def test_minimality(self):
         bp = make_uniform_pair(F(3, 2))
-        n = detect_period(bp, F(3, 5), UPPER, 32)
-        m = LorenzMap(bp, F(3, 5), UPPER)
-        orbit = m.orbit(F(3, 5), n)
-        assert orbit[-1] == F(3, 5)
-        assert all(v != F(3, 5) for v in orbit[1:-1])
+        for p in (F(3, 5), F(7, 13)):
+            n = kneading_prefixes(bp, p, 32).beta_period
+            orbit = LorenzMap(bp, p, UPPER).orbit(p, n)
+            assert orbit[-1] == p
+            assert all(v != p for v in orbit[1:-1])
 
     def test_float_map_certified(self):
         # a float map is read at its binary64 values: 0.6 is not 3/5, so its 2-cycle is gone
-        assert detect_period(float_pair(PWL_PAIR), 0.375, UPPER, 10) == 2
-        assert detect_period(make_uniform_pair(1.5), 0.6, UPPER, 10) is None
-
-    @pytest.mark.parametrize("n_max", [0, -3])
-    def test_nonpositive_n_max_is_none(self, n_max):
-        assert detect_period(make_uniform_pair(F(3, 2)), F(3, 5), UPPER, n_max) is None
-        assert detect_period(make_uniform_pair(1.5), 0.6, UPPER, n_max) is None
-
-
-class TestCompareLex:
-    def test_examples(self):
-        assert compare_lex("1010", "1001") == GREATER
-        assert compare_lex("0", "0") == EQUAL
-        assert compare_lex("011", "100") == LESS
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            compare_lex("01", "011")
-
-    def test_symbols_checked(self):
-        with pytest.raises(DomainError):
-            compare_lex("012", "010")
+        assert kneading_prefixes(float_pair(PWL_PAIR), 0.375, 10).beta_period == 2
+        assert kneading_prefixes(make_uniform_pair(1.5), 0.6, 10).beta_period is None
 
 
 class TestKneadingMonotonicity:
@@ -309,7 +319,7 @@ class TestKneadingMonotonicity:
             for side in (UPPER, LOWER):
                 wx = itinerary(LorenzMap(bp, x, side), x, n)
                 wy = itinerary(LorenzMap(bp, y, side), y, n)
-                assert compare_lex(wx, wy) in (LESS, EQUAL)
+                assert wx <= wy  # equal lengths, so str order is the lexicographic order
 
 
 class TestKneadingLeftContinuity:
@@ -318,7 +328,7 @@ class TestKneadingLeftContinuity:
     def test_prefixes_stabilize_from_the_left(self):
         bp = make_uniform_pair(F(3, 2))
         p = F(1, 2)
-        assert detect_period(bp, p, UPPER, 64) is None
+        assert kneading_prefixes(bp, p, 64).beta_period is None
         n = 16
         target = itinerary(LorenzMap(bp, p, UPPER), p, n)
         agreements = []

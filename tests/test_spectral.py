@@ -78,6 +78,15 @@ class TestXiCoeffs:
         with pytest.raises(DomainError):
             XiPolynomial(())
 
+    @pytest.mark.parametrize("coeffs", [(1.9, -0.7), (1, 0.5), (1, math.nan), ("1", "0")])
+    def test_values_checked_before_conversion(self, coeffs):
+        # int() would truncate 1.9 to 1 and 0.5 to 0, and fail on NaN with a bare ValueError
+        with pytest.raises(DomainError, match="must lie in"):
+            XiPolynomial(coeffs)
+
+    def test_integral_values_of_any_type_kept(self):
+        assert XiPolynomial((1.0, Fraction(0), -1)).coeffs == (1, 0, -1)
+
     def test_randomized_range_and_leading_one(self):
         rng = random.Random(41)
         for _ in range(30):

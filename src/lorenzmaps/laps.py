@@ -16,9 +16,14 @@ evaluations per call.
 The arithmetic is exact, as every map is, so classes merge only when
 their images are equal.  ``variation`` is the sum of lap-image lengths,
 the quantity whose exponential growth rate is the entropy; for a uniform
-slope-b pair it equals b^n to the last digit.  ``lap_report`` propagates
-once and returns the windowed estimate with the LapState of T^n: ``laps``
-prints both, and ``entropy_laps``, which each lap sweep row runs, the estimate.
+slope-b pair it equals b^n to the last digit.
+
+One generator, ``_propagate``, yields each step's LapState and holds only
+the current classes, so a caller holds what it keeps: ``lap_states`` keeps
+every step, ``lap_count`` the last.  ``lap_report`` propagates once, keeps
+ln Var at the three steps its windowed estimate reads, and returns the
+estimate with the LapState of T^n: ``laps`` prints both, and
+``entropy_laps``, which each lap sweep row runs, the estimate.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ from .spectral import LAPS, EntropyEstimate
 
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
-#: lap_states raises ResourceLimit past this many interval classes in one step
+#: propagation raises ResourceLimit past this many interval classes in one step
 MAX_CLASSES = 100_000
-#: lap_states raises ResourceLimit past this many steps, before the first one; the lap
-#: estimate at this order took 30-33 s and 200 MB on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
+#: propagation raises ResourceLimit past this many steps, before the first one; the lap
+#: estimate at this order took 32-38 s and 33 MB peak RSS on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
 MAX_ITERATES = 1000
 
 
@@ -81,48 +86,68 @@ def _advance(classes, f0, f1, p):
     return new
 
 
-def lap_states(m: LorenzMap, n: int) -> list:
-    """LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0.
+def _propagate(m: LorenzMap, n: int):
+    """Yield the LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0.
 
-    An n past MAX_ITERATES raises ResourceLimit before any step.
+    Holds only the current classes and the two branch caches, so a caller
+    that keeps one state holds one step.  An n past MAX_ITERATES raises
+    ResourceLimit before any step.
     """
     _check_iterates(n)
     # each branch maps each orbit point once; the caches live for this call only
     f0, f1 = (functools.cache(branch) for branch in (m.branches.f0, m.branches.f1))
     classes = {(Fraction(0), Fraction(1)): 1}
-    out = []
     for step in range(1, n + 1):
         classes = _advance(classes, f0, f1, m.p)
         if len(classes) > MAX_CLASSES:
             raise ResourceLimit(f"{len(classes)} interval classes at step {step} exceed the cap {MAX_CLASSES}")
-        out.append(LapState(step, tuple(classes.items())))
-    return out
+        yield LapState(step, tuple(classes.items()))
+
+
+def lap_states(m: LorenzMap, n: int) -> list:
+    """LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0.
+
+    An n past MAX_ITERATES raises ResourceLimit before any step.
+    """
+    return list(_propagate(m, n))
 
 
 def lap_count(m: LorenzMap, n: int):
     """(lap count of T^n, sum of its lap-image lengths)."""
-    state = lap_states(m, n)[-1]
+    for state in _propagate(m, n):
+        pass
     return state.total_laps, state.total_variation
 
 
 def lap_count_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> int:
     """Grid estimate of the lap count of T^n, independent of class propagation.
 
-    Samples T^n at grid+1 uniform points; a branch boundary shows up either
-    as a descent or as a rise exceeding the largest possible within-branch
-    rise c_max^n / grid (branch boundaries can jump upward when the two
-    one-sided orbits of p land in different order later on).  Converges to
-    the true lap count once the grid resolves the narrowest lap and the
-    smallest jump.  Intended as an oracle for small n: an n at which
-    c_max^n overflows binary64 raises DomainError before any sampling.
+    The last entry of lap_counts_bruteforce(m, n, grid); the same checks
+    raise DomainError before any sampling.
+    """
+    return lap_counts_bruteforce(m, n, grid)[-1]
+
+
+def lap_counts_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> list:
+    """Grid estimates of the lap counts of T^1, ..., T^n, in one pass over the grid.
+
+    Samples T^k at grid+1 uniform points after each step k; a branch
+    boundary shows up either as a descent or as a rise exceeding the
+    largest possible within-branch rise c_max^k / grid (branch boundaries
+    can jump upward when the two one-sided orbits of p land in different
+    order later on).  Converges to the true lap count once the grid
+    resolves the narrowest lap and the smallest jump.  Intended as an
+    oracle for small n: an n at which c_max^n overflows binary64 raises
+    DomainError before any sampling.
     """
     if n < 1:
         raise DomainError("need at least one step")
     if grid < 2:
         raise DomainError("grid too small")
     mf = _binary64(m)
+    c_max = float(mf.branches.c_max)
     try:
-        max_branch_rise = float(mf.branches.c_max) ** n / grid
+        c_max**n  # the largest rise bound, that of step n, must be a finite binary64
     except OverflowError:
         limit = int(math.log(sys.float_info.max) / _ln(mf.branches.c_max))
         raise DomainError(f"n = {n} exceeds {limit}, the largest n at which c_max^n is a finite binary64") from None
@@ -131,12 +156,15 @@ def lap_count_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> int:
     xs0, ys0, xs1, ys1 = (np.array(v, dtype=float) for v in (f0._xs, f0._ys, f1._xs, f1._ys))
     y = np.linspace(0.0, 1.0, grid + 1)
     upper = mf.side == UPPER
-    for _ in range(n):
+    counts = []
+    for k in range(1, n + 1):
         mask = y < p if upper else y <= p
         y = np.where(mask, np.interp(y, xs0, ys0), np.interp(y, xs1, ys1))
-    rise = np.diff(y)
-    boundaries = int(np.count_nonzero((rise <= 0) | (rise > max_branch_rise * (1 + 1e-9))))
-    return boundaries + 1
+        rise = np.diff(y)
+        max_branch_rise = c_max**k / grid
+        counts.append(int(np.count_nonzero((rise <= 0) | (rise > max_branch_rise * (1 + 1e-9)))) + 1)
+        del rise  # a grid-sized array: the next step's interpolation must not hold it as well
+    return counts
 
 
 def _binary64(m: LorenzMap) -> LorenzMap:
@@ -177,14 +205,16 @@ def lap_parameters(n: int | None, window: int | None) -> tuple:
 
 
 def lap_report(m: LorenzMap, n: int | None, window: int | None):
-    """(entropy_laps(m, n, window), the LapState of T^n), from one lap_states call."""
+    """(entropy_laps(m, n, window), the LapState of T^n), from one propagation that keeps one step."""
     n, window = lap_parameters(n, window)
-    states = lap_states(m, n)
     k = n - window
     start = max(k - window, 0)
     # ln Var(T^j) at the three steps read; Var(T^0) = 1
-    lv = {j: _ln(states[j - 1].total_variation) if j else 0.0 for j in (start, k, n)}
+    lv = {0: 0.0}
+    for state in _propagate(m, n):
+        if state.step in (start, k, n):
+            lv[state.step] = _ln(state.total_variation)
     slope = (lv[n] - lv[k]) / window
     prev = (lv[k] - lv[start]) / (k - start)
     error = abs(slope - prev)
-    return EntropyEstimate(slope, math.exp(slope), LAPS, n, error, False), states[-1]
+    return EntropyEstimate(slope, math.exp(slope), LAPS, n, error, False), state

@@ -59,6 +59,13 @@ class PeriodicForm:
     beta_head: str
     alpha_prefix: str
 
+    def __post_init__(self):
+        if self.period < 1 or len(self.beta_head) != self.period:
+            raise DomainError(f"need period >= 1 and a beta head of that length: {self.period}, {self.beta_head!r}")
+        for word in (self.beta_head, self.alpha_prefix):
+            if word.strip("01"):
+                raise DomainError(f"symbol words may contain only '0' and '1': {word!r}")
+
 
 @dataclass(frozen=True)
 class XiPolynomial:

@@ -163,9 +163,9 @@ class TestLapsCommand:
 
         # one class of length 1/7 carrying 10^(330+k) laps at step k
         def huge_states(m, n):
-            return [LapState(k, (((Fraction(0), Fraction(1, 7)), 10 ** (330 + k)),)) for k in range(1, n + 1)]
+            return (LapState(k, (((Fraction(0), Fraction(1, 7)), 10 ** (330 + k)),)) for k in range(1, n + 1))
 
-        monkeypatch.setattr(laps_module, "lap_states", huge_states)
+        monkeypatch.setattr(laps_module, "_propagate", huge_states)
         code, out, err = run_cli(
             capsys, "laps", "--b0", "3/2", "--b1", "3/2", "--p", "3/5", "--n", "20", "--window", "5"
         )
@@ -561,8 +561,8 @@ class TestSinglePointMatchesSweep:
         assert code == 0, err
         rows = json.loads(out)
         calls = []
-        propagate = laps_module.lap_states
-        monkeypatch.setattr(laps_module, "lap_states", lambda m, n: calls.append(n) or propagate(m, n))
+        propagate = laps_module._propagate
+        monkeypatch.setattr(laps_module, "_propagate", lambda m, n: calls.append(n) or propagate(m, n))
         keys = ("p", "entropy", "error_bound", "order")
         for p, row in zip(("3/5", "7/10", "4/5"), rows):
             assert row["p"] == float(Fraction(p))
@@ -657,7 +657,7 @@ class TestInputErrorsBeforeWork:
             monkeypatch.setattr(cli_module, "sweep", lambda *args, **kwargs: calls.append("sweep"))
         # a sweep runs its points, or forks its helpers, only in _run_points
         monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "_run_points", lambda *args: calls.append("points"))
-        monkeypatch.setattr(laps_module, "lap_states", lambda *args, **kwargs: calls.append("lap_states"))
+        monkeypatch.setattr(laps_module, "_propagate", lambda *args, **kwargs: calls.append("propagate"))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -1,8 +1,10 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from lorenzmaps import (
     kneading_prefixes,
     lap_count,
     lap_count_bruteforce,
+    lap_counts_bruteforce,
     lap_states,
     make_affine_pair,
     make_uniform_pair,
@@ -102,8 +105,25 @@ class TestLapCount:
         assert LapState(1100, (((F(0), F(1, 2)), big),)).total_variation == F(big, 2)
         # the estimate reads steps 10, 20 and 30, whose variations all lie past binary64
         states = [LapState(k, (((F(0), F(1, 2)), big if k >= 5 else 1),)) for k in range(1, 31)]
-        monkeypatch.setattr(laps, "lap_states", lambda m, n: states)
+        monkeypatch.setattr(laps, "_propagate", lambda m, n: iter(states))
         assert entropy_laps(half_map, 30, 10).entropy == 0.0
+
+
+class TestOneStepHeld:
+    """A lap estimate or count holds one step's classes, not every step's."""
+
+    @pytest.mark.parametrize("call", [lambda m: entropy_laps(m, 120, 10), lambda m: lap_count(m, 120)],
+                             ids=["entropy_laps", "lap_count"])
+    def test_peak_memory_of_one_step(self, call):
+        # all 120 steps' classes take about 1000 KiB, one step's about 60 KiB
+        m = LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5))
+        tracemalloc.start()
+        try:
+            call(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestBruteforce:
@@ -125,11 +145,34 @@ class TestBruteforce:
             for n in (1, 2, 3, 4, 5):
                 assert lap_count_bruteforce(m, n, 10**5) == lap_count(m, n)[0]
 
+    def test_one_pass_matches_resampling(self):
+        # every count of the one grid pass equals that of a pass restarted from step 0; the first
+        # map's counts at steps 3-7 change if every step takes step 8's rise threshold
+        rng = random.Random(3)
+        for _ in range(4):
+            m = random_affine_map(rng)
+            n, grid = 8, 10**4
+            assert lap_counts_bruteforce(m, n, grid) == [_bruteforce_reference(m, k, grid) for k in range(1, n + 1)]
+
+    def test_grid_memory_of_one_step(self):
+        # the one pass holds as many grid-sized arrays after 8 steps as after 1
+        m = LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(7, 10), UPPER)
+        peaks = []
+        for n in (1, 8):
+            tracemalloc.start()
+            try:
+                lap_counts_bruteforce(m, n, 10**5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64 * 1024
 
     @pytest.mark.parametrize("n, grid", [(0, 10), (-1, 10), (3, 1), (3, 0)])
     def test_argument_checks(self, half_map, n, grid):
         with pytest.raises(DomainError):
             lap_count_bruteforce(half_map, n, grid)
+        with pytest.raises(DomainError):
+            lap_counts_bruteforce(half_map, n, grid)
 
     def test_overflowing_rise_bound_named_before_sampling(self, monkeypatch):
         # 1.9^n overflows binary64 past n = 1105; the oracle says so instead of an OverflowError
@@ -213,6 +256,18 @@ class TestEntropyLaps:
         fl = entropy_laps(LorenzMap(floats, 0.7, UPPER), 30, 10)
         assert fl == entropy_laps(LorenzMap(floats, F(0.7), UPPER), 30, 10)
         assert abs(exact.entropy - fl.entropy) < 1e-9
+
+
+def _bruteforce_reference(m, n, grid):
+    # reference: the grid oracle as it sampled T^n afresh from step 0 for each n, on upper maps
+    mf = laps._binary64(m)
+    p = float(mf.p)
+    xs0, ys0, xs1, ys1 = (np.array(v, dtype=float) for f in (mf.branches.f0, mf.branches.f1) for v in (f._xs, f._ys))
+    y = np.linspace(0.0, 1.0, grid + 1)
+    for _ in range(n):
+        y = np.where(y < p, np.interp(y, xs0, ys0), np.interp(y, xs1, ys1))
+    rise = np.diff(y)
+    return int(np.count_nonzero((rise <= 0) | (rise > float(mf.branches.c_max) ** n / grid * (1 + 1e-9)))) + 1
 
 
 def _lap_states_reference(m, n):

@@ -17,6 +17,7 @@ from lorenzmaps import (
     MissingPeriodicForm,
     NoRootFound,
     ODD_CROSSING,
+    PeriodicForm,
     RootResult,
     XiPolynomial,
     csv_text,
@@ -141,6 +142,17 @@ class TestXiEvalPeriodic:
     def test_requires_form(self):
         with pytest.raises(MissingPeriodicForm):
             xi_eval_periodic(XiPolynomial((1, -1)), 1.5)
+
+    @pytest.mark.parametrize(
+        "period, beta_head, alpha_prefix",
+        [(3, "10", "01"), (5, "1", "01"), (2, "10", "01x"), (0, "", "01"), (2, "1x", "01")],
+        ids=["period-past-head", "period-far-past-head", "alpha-not-binary", "period-0", "beta-not-binary"],
+    )
+    def test_form_checked_when_built(self, period, beta_head, alpha_prefix):
+        # unchecked, xi_eval_periodic would read a short head as trailing zeros, fail in int() on a
+        # symbol other than 0 or 1, and divide by zero at period 0
+        with pytest.raises(DomainError):
+            PeriodicForm(period, beta_head, alpha_prefix)
 
     def test_agrees_with_truncation(self):
         rng = random.Random(47)

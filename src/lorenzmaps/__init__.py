@@ -3,7 +3,14 @@
 Two independent estimators: the largest root of the truncated kneading
 series (spectral) and the growth rate of lap-image variation (laps), plus
 parameter sweeps over the discontinuity with curve diagnostics.
+
+The spectral and sweep names are bound on first access, so importing the
+package, or using only its maps, kneading and lap estimator, loads no numpy.
 """
+
+import importlib
+import sys
+import types
 
 from .errors import (
     DomainError,
@@ -18,6 +25,7 @@ from .errors import (
     RangeError,
     ResourceLimit,
 )
+from .estimates import LAPS, SPECTRAL, EntropyEstimate
 from .kneading import KneadingPair, itinerary, kneading_prefixes
 from .laps import LapState, entropy_laps, lap_count, lap_count_bruteforce, lap_counts_bruteforce, lap_states
 from .maps import (
@@ -30,34 +38,67 @@ from .maps import (
     make_uniform_pair,
     parse_scalar,
 )
-from .spectral import (
-    LAPS,
-    ODD_CROSSING,
-    SPECTRAL,
-    EntropyEstimate,
-    PeriodicForm,
-    RootResult,
-    XiPolynomial,
-    entropy_spectral,
-    max_root,
-    tail_bound,
-    xi_coeffs,
-    xi_eval,
-    xi_eval_periodic,
+
+#: the module of each name bound on first access (PEP 562): both load numpy, which nothing above needs
+_DEFERRED = dict.fromkeys(
+    (
+        "ODD_CROSSING",
+        "PeriodicForm",
+        "RootResult",
+        "XiPolynomial",
+        "entropy_spectral",
+        "max_root",
+        "tail_bound",
+        "xi_coeffs",
+        "xi_eval",
+        "xi_eval_periodic",
+    ),
+    "spectral",
+) | dict.fromkeys(
+    (
+        "BUMP",
+        "DIP",
+        "NonMonotoneFeature",
+        "SweepRecord",
+        "compare_methods",
+        "continuity_modulus",
+        "cross_confirm_features",
+        "csv_text",
+        "detect_nonmonotonic",
+        "sweep",
+        "write_csv",
+    ),
+    "sweep",
 )
-from .sweep import (
-    BUMP,
-    DIP,
-    NonMonotoneFeature,
-    SweepRecord,
-    compare_methods,
-    continuity_modulus,
-    cross_confirm_features,
-    csv_text,
-    detect_nonmonotonic,
-    sweep,
-    write_csv,
-)
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The package, whose name ``sweep`` stays the sweep function.
+
+    The import system binds each submodule it loads as an attribute of its
+    package, in whatever order the submodules load; only the sweep module's
+    name collides with one of the package's own.
+    """
+
+    def __setattr__(self, name, value):
+        if name == "sweep" and isinstance(value, types.ModuleType):
+            value = value.sweep
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 

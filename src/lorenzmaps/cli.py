@@ -6,6 +6,9 @@ stdout.  Numbers may be given as decimals or fractions ("9/19"); each is
 read exactly, and every command evaluates the validated exact map.
 entropy, and laps for the lap method, print the sweep row's estimate at p
 by the sweep's own path; p is printed as text where binary64 cannot hold it.
+Only entropy, sweep and compare import the spectral and sweep modules, the
+ones that load numpy, so kneading, laps and a rejected command line start
+without it.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no root found,
 4 resource limit exceeded.
@@ -21,19 +24,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import InvalidBranch, LorenzError, NoRootFound, ResourceLimit
+from .estimates import LAPS, SPECTRAL
 from .kneading import kneading_prefixes
 from .laps import lap_parameters, lap_report
 from .maps import UPPER, BranchPair, LorenzMap, fmt_number, make_affine_pair, parse_scalar
-from .spectral import LAPS, SPECTRAL, spectral_parameters
-from .sweep import (
-    compare_methods,
-    cross_confirm_features,
-    detect_nonmonotonic,
-    estimate,
-    record_row,
-    sweep,
-    write_csv,
-)
 
 
 def _add_branch_args(sub):
@@ -108,7 +102,10 @@ def _json_number(value):
 
 def _cmd_entropy(args) -> int:
     p = parse_scalar(args.p)
-    est = estimate(_load_pair(args), p, args.method, n=args.n, tol=args.tol, window=args.window)
+    bp = _load_pair(args)
+    from .sweep import estimate, record_row
+
+    est = estimate(bp, p, args.method, n=args.n, tol=args.tol, window=args.window)
     _emit({**record_row(p, est), "p": _json_number(p)})
     return 0
 
@@ -145,6 +142,8 @@ def _cmd_sweep(args) -> int:
         # a directory, or a path in a missing one, is caught before any point runs; an unwritable one fails at the write
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise LorenzError(f"{option} {path!r}: not a file in an existing directory")
+    from .sweep import cross_confirm_features, detect_nonmonotonic, record_row, sweep, write_csv
+
     records = sweep(
         bp,
         parse_scalar(args.p_min),
@@ -179,6 +178,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     bp = _load_pair(args)
     laps_n, _ = lap_parameters(args.laps_n, args.window)
+    from .spectral import spectral_parameters
+    from .sweep import compare_methods, sweep
+
     grid = (bp, parse_scalar(args.p_min), parse_scalar(args.p_max), args.points)
     spectral_n, _ = spectral_parameters(args.spectral_n, args.tol)
     spectral = sweep(*grid, SPECTRAL, n=args.spectral_n, tol=args.tol, workers=args.workers)

@@ -34,11 +34,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, LorenzError, ResourceLimit
+from .estimates import LAPS, EntropyEstimate
 from .maps import UPPER, BranchPair, BranchSpec, LorenzMap
-from .spectral import LAPS, EntropyEstimate
 
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
@@ -140,6 +138,9 @@ def lap_counts_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> list:
     oracle for small n: an n at which c_max^n overflows binary64 raises
     DomainError before any sampling.
     """
+    # the one numpy user of this module: importing the lap estimator loads no numpy
+    import numpy as np
+
     if n < 1:
         raise DomainError("need at least one step")
     if grid < 2:

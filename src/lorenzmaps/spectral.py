@@ -34,11 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, LengthMismatch, MissingPeriodicForm, NoRootFound
+# LAPS is not used here; it stays importable from this module with the other two
+from .estimates import LAPS, SPECTRAL, EntropyEstimate
 from .kneading import KneadingPair, _check_steps, kneading_prefixes
 from .maps import BranchPair
-
-SPECTRAL = "spectral"
-LAPS = "laps"
 
 ODD_CROSSING = "odd-crossing"
 # max_root never returns it; kept while perfbench/tracer.py imports it to count tangential roots
@@ -96,18 +95,6 @@ class RootResult:
     bracket: tuple
     # always ODD_CROSSING; traced benchmark runs read it
     multiplicity_hint: str
-
-
-@dataclass(frozen=True)
-class EntropyEstimate:
-    """An entropy value with its provenance and an error estimate."""
-
-    entropy: float
-    gamma: float
-    method: str
-    order: int
-    error_bound: float
-    certified: bool
 
 
 def xi_coeffs(kp: KneadingPair) -> XiPolynomial:

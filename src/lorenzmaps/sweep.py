@@ -37,9 +37,10 @@ from .errors import (
     RangeError,
     ResourceLimit,
 )
+from .estimates import LAPS, SPECTRAL, EntropyEstimate
 from .laps import entropy_laps, lap_parameters
 from .maps import UPPER, BranchPair, LorenzMap, _coerce, fmt_number
-from .spectral import DEFAULT_TOL, LAPS, SPECTRAL, EntropyEstimate, entropy_spectral, spectral_parameters
+from .spectral import DEFAULT_TOL, entropy_spectral, spectral_parameters
 
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no-root"

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from lorenzmaps.cli import main
 
+# the CLI loads the sweep module only when a command needs it; the tests patch its names through sys.modules
+importlib.import_module("lorenzmaps.sweep")
 
 SWEEP_ARGS = [
     "sweep", "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11", "--points", "60",
@@ -428,14 +431,13 @@ class TestArgumentHandling:
         ],
     )
     def test_out_of_range_value_exit_2(self, capsys, monkeypatch, tmp_path, argv):
-        import lorenzmaps.cli as cli_module
-
         def evaluated(*args, **kwargs):
             raise AssertionError("a point was evaluated")
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "entropy_spectral", evaluated)
-        monkeypatch.setattr(cli_module, "sweep", evaluated)
+        # the commands import the sweep function when they run, from its module
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "sweep", evaluated)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -649,12 +651,11 @@ class TestInputErrorsBeforeWork:
         ],
     )
     def test_lap_window_checked_before_work(self, capsys, monkeypatch, argv):
-        import lorenzmaps.cli as cli_module
         import lorenzmaps.laps as laps_module
 
         calls = []
         if argv[0] != "sweep":
-            monkeypatch.setattr(cli_module, "sweep", lambda *args, **kwargs: calls.append("sweep"))
+            monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "sweep", lambda *args, **kwargs: calls.append("sweep"))
         # a sweep runs its points, or forks its helpers, only in _run_points
         monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "_run_points", lambda *args: calls.append("points"))
         monkeypatch.setattr(laps_module, "_propagate", lambda *args, **kwargs: calls.append("propagate"))
@@ -818,6 +819,32 @@ class TestStartup:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [
+            (None, None),
+            (["laps", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--n", "20", "--window", "5"], 0),
+            (["kneading", "--b0", "1.1", "--b1", "1.9", "--p", "0.7"], 0),
+            (["laps", "--b0", "2", "--b1", "2", "--p", "0.5"], 2),
+        ],
+        ids=["import", "laps", "kneading", "laps-exit-2"],
+    )
+    def test_exact_commands_load_no_numpy(self, argv, expected_code):
+        # the package and the exact commands leave numpy and the process pool to the commands that use them
+        code = (
+            "import json, sys, lorenzmaps\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "if argv:\n"
+            "    from lorenzmaps.cli import main\n"
+            "code = main(argv) if argv else None\n"
+            "print(code, 'numpy' in sys.modules, 'concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stderr.splitlines()[-1].split() == [str(expected_code), "False", "False"]
 
     def test_feature_sweep_does_not_import_scipy_signal(self, tmp_path):
         # confirmation workers fork from the sweep process, so every module it loads is resident in each

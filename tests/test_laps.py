@@ -177,7 +177,7 @@ class TestBruteforce:
     def test_overflowing_rise_bound_named_before_sampling(self, monkeypatch):
         # 1.9^n overflows binary64 past n = 1105; the oracle says so instead of an OverflowError
         m = LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(7, 10), UPPER)
-        monkeypatch.setattr(laps.np, "interp", lambda *args: pytest.fail("sampled"))
+        monkeypatch.setattr(np, "interp", lambda *args: pytest.fail("sampled"))
         with pytest.raises(DomainError, match=r"n = 1200 exceeds 1105"):
             lap_count_bruteforce(m, 1200, 1000)
         with pytest.raises(DomainError, match=r"n = 1106 exceeds 1105"):

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,45 @@ def test_each_default_is_named_only_by_its_estimator():
                 continue
             stray.update((name, ref) for ref in found if ref in owned and owners[ref] != name)
     assert sorted(stray) == []
+
+
+def test_every_exported_name_resolves():
+    # the spectral and sweep names are bound on first access, so a misspelt one would fail only when read
+    import lorenzmaps
+
+    assert [name for name in lorenzmaps.__all__ if not hasattr(lorenzmaps, name)] == []
+    assert set(lorenzmaps.__all__) <= set(dir(lorenzmaps))
+
+
+_SWEEP_BINDING_CHECK = """
+import sys, types
+import lorenzmaps
+assert not isinstance(lorenzmaps.sweep, types.ModuleType), lorenzmaps.sweep
+assert lorenzmaps.sweep is sys.modules["lorenzmaps.sweep"].sweep
+import lorenzmaps.sweep as again
+assert again is lorenzmaps.sweep
+print("ok")
+"""
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import lorenzmaps.sweep as S\nassert S.__name__ == 'sweep' and callable(S), S",
+        "import importlib\nassert importlib.import_module('lorenzmaps.sweep').__name__ == 'lorenzmaps.sweep'",
+        "import contextlib, io\nfrom lorenzmaps.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['sweep', '--b0', '1.1', '--b1', '1.9', '--p-min', '0.6', '--p-max', '0.7',"
+        " '--points', '2', '--n', '50', '--workers', '1']) == 0",
+        "from lorenzmaps import sweep\nassert sweep.__name__ == 'sweep' and callable(sweep), sweep",
+    ],
+    ids=["import-as", "import-module", "cli-sweep", "from-import"],
+)
+def test_package_name_sweep_stays_the_function(first):
+    # the package resolves its sweep names on first access, and the import system binds each
+    # submodule it loads on the package: whichever loads the sweep module first, the name is the function
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", first + "\n" + _SWEEP_BINDING_CHECK], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout.strip()) == (0, "ok"), result.stderr

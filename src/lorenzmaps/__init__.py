@@ -6,6 +6,7 @@ parameter sweeps over the discontinuity with curve diagnostics.
 
 The spectral and sweep names are bound on first access, so importing the
 package, or using only its maps, kneading and lap estimator, loads no numpy.
+``__all__`` is the eager names plus the deferred ones.
 """
 
 import importlib
@@ -102,57 +103,7 @@ sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 
+#: the names the eager imports bind, and the deferred ones
 __all__ = [
-    "BranchPair",
-    "BranchSpec",
-    "BUMP",
-    "compare_methods",
-    "continuity_modulus",
-    "cross_confirm_features",
-    "csv_text",
-    "detect_nonmonotonic",
-    "DIP",
-    "DomainError",
-    "entropy_laps",
-    "entropy_spectral",
-    "EntropyEstimate",
-    "GridMismatch",
-    "InsufficientData",
-    "InvalidBranch",
-    "InvalidSlopes",
-    "itinerary",
-    "KneadingPair",
-    "kneading_prefixes",
-    "lap_count",
-    "lap_count_bruteforce",
-    "lap_counts_bruteforce",
-    "lap_states",
-    "LapState",
-    "LAPS",
-    "LengthMismatch",
-    "LorenzError",
-    "LorenzMap",
-    "LOWER",
-    "make_affine_pair",
-    "make_uniform_pair",
-    "max_root",
-    "MissingPeriodicForm",
-    "NonMonotoneFeature",
-    "NoRootFound",
-    "ODD_CROSSING",
-    "parse_scalar",
-    "PeriodicForm",
-    "RangeError",
-    "ResourceLimit",
-    "RootResult",
-    "SPECTRAL",
-    "sweep",
-    "SweepRecord",
-    "tail_bound",
-    "UPPER",
-    "write_csv",
-    "xi_coeffs",
-    "xi_eval",
-    "xi_eval_periodic",
-    "XiPolynomial",
-]
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + list(_DEFERRED)

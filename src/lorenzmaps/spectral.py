@@ -34,8 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, LengthMismatch, MissingPeriodicForm, NoRootFound
-# LAPS is not used here; it stays importable from this module with the other two
-from .estimates import LAPS, SPECTRAL, EntropyEstimate
+from .estimates import SPECTRAL, EntropyEstimate
 from .kneading import KneadingPair, _check_steps, kneading_prefixes
 from .maps import BranchPair
 
@@ -122,7 +121,7 @@ def _check_x(x):
     # else runs in binary64
     if not isinstance(x, Fraction):
         x = float(x)
-    if x <= 1:
+    if not x > 1:  # x <= 1 would let NaN through
         raise DomainError("series evaluation needs x > 1")
     return x
 

@@ -29,7 +29,7 @@ from lorenzmaps import (
     make_affine_pair,
     make_uniform_pair,
 )
-from lorenzmaps.spectral import EntropyEstimate
+from lorenzmaps.estimates import EntropyEstimate
 
 F = Fraction
 

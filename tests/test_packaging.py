@@ -28,15 +28,23 @@ def _names(requirements):
     return {re.match(r"[A-Za-z0-9._-]+", req.strip()).group().lower() for req in requirements}
 
 
+def _modules(requirements):
+    return {name.replace("-", "_") for name in _names(requirements)}
+
+
 def test_package_imports_only_its_declared_dependencies():
-    # the package, the standard library and pyproject's runtime dependencies (numpy); scipy
-    # serves only the tests, as the reference of the built-in peak rule
-    runtime = {name.replace("-", "_") for name in _names(_project()["dependencies"])}
-    allowed = {"lorenzmaps", *sys.stdlib_module_names, *runtime}
-    sources = sorted((ROOT / "src" / "lorenzmaps").rglob("*.py"))
-    assert sources
-    imports = {(path.name, root) for path in sources for root in _imported_roots(path)}
-    assert sorted((name, root) for name, root in imports if root not in allowed) == []
+    # the package, the standard library and pyproject's runtime dependencies (numpy); the tests
+    # also the test extra, whose scipy serves only as the reference of the built-in peak rule
+    project = _project()
+    package = {"lorenzmaps", *sys.stdlib_module_names, *_modules(project["dependencies"])}
+    tests = package | _modules(project["optional-dependencies"]["test"])
+    for sources, allowed in [
+        (sorted((ROOT / "src" / "lorenzmaps").rglob("*.py")), package),
+        (sorted((ROOT / "tests").glob("*.py")), tests),
+    ]:
+        assert sources
+        imports = {(path.name, root) for path in sources for root in _imported_roots(path)}
+        assert sorted((name, root) for name, root in imports if root not in allowed) == []
 
 
 def test_scipy_is_a_test_dependency_only():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -108,8 +109,10 @@ class TestXiEval:
         assert abs(xi_eval(XiPolynomial((1, -1, -1)), PHI)) < 1e-12
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            xi_eval(XiPolynomial((1,)), 1.0)
+        # NaN fails every comparison, so the check must ask for x > 1, not against x <= 1
+        for x in (1.0, math.nan):
+            with pytest.raises(DomainError, match="needs x > 1"):
+                xi_eval(XiPolynomial((1,)), x)
 
     def test_truncation_stability(self):
         # exact rational evaluation keeps the bound meaningful below float eps
@@ -143,6 +146,12 @@ class TestXiEvalPeriodic:
         with pytest.raises(MissingPeriodicForm):
             xi_eval_periodic(XiPolynomial((1, -1)), 1.5)
 
+    def test_domain(self):
+        xi = xi_coeffs(KneadingPair("0", "1", beta_period=1))
+        for x in (1.0, math.nan):
+            with pytest.raises(DomainError, match="needs x > 1"):
+                xi_eval_periodic(xi, x)
+
     @pytest.mark.parametrize(
         "period, beta_head, alpha_prefix",
         [(3, "10", "01"), (5, "1", "01"), (2, "10", "01x"), (0, "", "01"), (2, "1x", "01")],
@@ -175,8 +184,9 @@ class TestTailBound:
         assert tail_bound(2.0, 0) == pytest.approx(2.0, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            tail_bound(0.9, 5)
+        for x in (0.9, math.nan):
+            with pytest.raises(DomainError, match="needs x > 1"):
+                tail_bound(x, 5)
 
 
 def _at(bp, at):
@@ -346,6 +356,51 @@ class TestEntropySpectral:
         fl = entropy_spectral(make_affine_pair(1.1, 1.9), 0.6, n=160, tol=1e-9)
         # the binary64 slopes and p make another map, but its kneading differs only late
         assert abs(exact.entropy - fl.entropy) < 1e-6
+
+
+def _proved_sign(coeffs, x):
+    """The sign of every series that starts with coeffs, at x > 1, proved in integers; 0 where unproved.
+
+    With x = m/q in lowest terms the truncation is A / m^(n-1), A = sum_k c_k q^k m^(n-1-k), and
+    the tail it drops is at most x^-n / (1 - 1/x) = q^n / (m^(n-1) (m - q)) in size; so where
+    |A| (m - q) > q^n the infinite series has A's sign.
+    """
+    x = F(x)
+    m, q = x.numerator, x.denominator
+    acc, q_k = 0, 1
+    for c in coeffs:
+        acc = acc * m + c * q_k
+        q_k *= q
+    if abs(acc) * (m - q) <= q_k:
+        return 0
+    return 1 if acc > 0 else -1
+
+
+def _root_proved(coeffs, x_lo, x_hi):
+    # the infinite series is continuous on x > 1, so opposite proved signs at the ends enclose a root
+    return _proved_sign(coeffs, x_lo) * _proved_sign(coeffs, x_hi) == -1
+
+
+class TestRootEnclosure:
+    """The root half of certified: the enclosure holds a root of the infinite series, proved exactly."""
+
+    def test_paper_enclosures_hold_a_root(self, monkeypatch):
+        enclose = spectral._uncertainty_interval
+        ends = []
+
+        def recording(xi, root, lo, hi):
+            found = enclose(xi, root, lo, hi)
+            ends.append((xi.coeffs, *found[:2]))
+            return found
+
+        monkeypatch.setattr(spectral, "_uncertainty_interval", recording)
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        points = importlib.import_module("lorenzmaps.sweep")._grid(bp, F(9, 19), F(10, 11), 400)
+        assert all(entropy_spectral(bp, p, n=500).certified for p in points)
+        assert len(ends) == 400
+        assert [i for i, (coeffs, x_lo, x_hi) in enumerate(ends) if not _root_proved(coeffs, x_lo, x_hi)] == []
+        # negative control: a single point encloses nothing
+        assert [i for i, (coeffs, x_lo, _) in enumerate(ends) if _root_proved(coeffs, x_lo, x_lo)] == []
 
 
 def _eval_grid_reference(coeffs, xs):

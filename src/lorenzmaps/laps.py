@@ -6,12 +6,25 @@ enumerate the exponentially many laps, we start from the one lap [0, 1]
 of T^0 and keep one class per image interval with a multiplicity: a
 class straddling the discontinuity splits into its two branch images,
 any other class maps through the one branch covering it, and identical
-images merge by adding multiplicities.  Every class endpoint lies on a
-forward orbit of p, 0 or 1, so the number of classes grows linearly in
-n while the multiplicities carry the exponential lap growth as exact
-big integers.  The same endpoints recur across classes and steps, so
-each branch maps each orbit point once: at most 2n + 4 branch
-evaluations per call.
+images merge by adding multiplicities.  The multiplicities carry the
+exponential lap growth as exact big integers; the classes stay few.
+
+Step n has at most 2n classes.  Each class is the image T^n(J) of a lap J
+of T^n, an interval whose ends are 0, 1 or cuts: a cut is made at step m
+when the class of step m straddles p and splits there.  The lap touching 0
+gives one class, and so does the lap touching 1.  Any other lap J has two
+cuts made at different steps; say its left cut came first, at step m.
+Then T^m maps J onto (p, y), where y = T^m of J's right end returns to p
+within n - m - 1 steps, and no point of (p, y) does, or J would be cut
+again: y is the first point right of p that returns to p within
+n - m - 1 steps.  So y, and with it T^n(J) = T^(n-m)((p, y)), depends
+only on the age a = n - m, and a >= 2 since y must return at least once.
+That is at most one class per left age a in [2, n], and symmetrically one
+per right age: at most 2 + 2(n - 1) = 2n classes in all.  Step 1 at an
+interior p has exactly 2, so the bound is tight.  Every class endpoint
+lies on a forward orbit of p, 0 or 1, and the same endpoints recur across
+classes and steps, so each branch maps each orbit point once: at most
+2n + 4 branch evaluations per call.
 
 The arithmetic is exact, as every map is, so classes merge only when
 their images are equal.  ``variation`` is the sum of lap-image lengths,
@@ -40,8 +53,6 @@ from .maps import UPPER, BranchPair, BranchSpec, LorenzMap
 
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
-#: propagation raises ResourceLimit past this many interval classes in one step
-MAX_CLASSES = 100_000
 #: propagation raises ResourceLimit past this many steps, before the first one; the lap
 #: estimate at this order took 32-38 s and 33 MB peak RSS on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
 MAX_ITERATES = 1000
@@ -97,8 +108,6 @@ def _propagate(m: LorenzMap, n: int):
     classes = {(Fraction(0), Fraction(1)): 1}
     for step in range(1, n + 1):
         classes = _advance(classes, f0, f1, m.p)
-        if len(classes) > MAX_CLASSES:
-            raise ResourceLimit(f"{len(classes)} interval classes at step {step} exceed the cap {MAX_CLASSES}")
         yield LapState(step, tuple(classes.items()))
 
 

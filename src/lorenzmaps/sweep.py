@@ -44,7 +44,6 @@ from .spectral import DEFAULT_TOL, entropy_spectral, spectral_parameters
 
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no-root"
-STATUS_RESOURCE_LIMIT = "resource-limit"
 
 DIP = "dip"
 BUMP = "bump"
@@ -59,7 +58,11 @@ MAX_POINTS = 10**6
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point: its exact p, its estimate (None unless status is ok) and its status."""
+    """One grid point: its exact p, its estimate and its status.
+
+    The status is ``ok``, or ``no-root`` when the spectral truncation has no
+    root in its bracket; the estimate is None unless the status is ok.
+    """
 
     p: Fraction
     estimate: EntropyEstimate | None
@@ -119,8 +122,6 @@ def _sweep_point(bp, method, n, tol, window, p) -> SweepRecord:
         return SweepRecord(p, estimate(bp, p, method, n=n, tol=tol, window=window), STATUS_OK)
     except NoRootFound:
         return SweepRecord(p, None, STATUS_NO_ROOT)
-    except ResourceLimit:
-        return SweepRecord(p, None, STATUS_RESOURCE_LIMIT)
 
 
 def _serial(fn, ps) -> list:
@@ -162,13 +163,14 @@ def sweep(
 ) -> list:
     """Entropy records of the exact pair bp on an equally spaced grid of p values.
 
-    Per-point failures are recorded in the record status and never abort
-    the sweep.  ``workers`` > 1 runs the points on at most ``workers``
-    processes, the calling one included, so at most ``workers`` - 1 are
-    forked, and on no more than the points or the usable CPUs; the output
-    is the same for every worker count.  n, tol and window reach each point
-    as given; a bad method, a parameter its estimator's own check rejects,
-    or a grid of more than ``MAX_POINTS`` points raises before any work.
+    Each record's status is ``ok`` or ``no-root`` (the spectral truncation
+    has no root in its bracket); a no-root point does not abort the sweep.
+    ``workers`` > 1 runs the points on at most ``workers`` processes, the
+    calling one included, so at most ``workers`` - 1 are forked, and on no
+    more than the points or the usable CPUs; the output is the same for
+    every worker count.  n, tol and window reach each point as given; a
+    bad method, a parameter its estimator's own check rejects, or a grid of
+    more than ``MAX_POINTS`` points raises before any work.
     """
     if method == SPECTRAL:
         spectral_parameters(n, tol)

@@ -61,16 +61,6 @@ def report(num, description, ok, detail=""):
     assert ok, f"criterion {num} failed: {description} {detail}"
 
 
-def random_affine_map(rng):
-    while True:
-        b0 = F(rng.randint(105, 195), 100)
-        b1 = F(rng.randint(105, 195), 100)
-        if b0 + b1 > b0 * b1:
-            bp = make_affine_pair(b0, b1)
-            p = bp.a + F(rng.randint(1, 9999), 10000) * (bp.b - bp.a)
-            return LorenzMap(bp, p, UPPER)
-
-
 @pytest.fixture(scope="module")
 def affine_pair():
     return make_affine_pair(F(11, 10), F(19, 10))
@@ -184,11 +174,11 @@ def test_criterion_4_empirical_continuity(sweep1000, sweep4000):
     )
 
 
-def test_criterion_5_lap_oracle_equivalence():
+def test_criterion_5_lap_oracle_equivalence(draw_affine):
     rng = random.Random(20240817)
     checked = 0
     for _ in range(25):
-        m = random_affine_map(rng)
+        m = LorenzMap(*draw_affine(rng))
         # one propagation and one grid pass per map give the counts of T^1, ..., T^8
         exact_counts = [state.total_laps for state in lap_states(m, 8)]
         estimates = lap_counts_bruteforce(m, 8, 10**6)
@@ -202,11 +192,11 @@ def test_criterion_5_lap_oracle_equivalence():
            f"({checked} comparisons)")
 
 
-def test_criterion_6_tail_bound_soundness():
+def test_criterion_6_tail_bound_soundness(draw_affine):
     rng = random.Random(11235)
     checked = 0
     for _ in range(6):
-        m = random_affine_map(rng)
+        m = LorenzMap(*draw_affine(rng))
         # the binary64 slopes and p make another map; the bound is structural in the coefficients
         bp = make_affine_pair(*(float(f.slopes[0]) for f in (m.branches.f0, m.branches.f1)))
         coeffs = xi_coeffs(kneading_prefixes(bp, float(m.p), 600)).coeffs
@@ -230,7 +220,7 @@ def test_criterion_6_tail_bound_soundness():
            f"({checked} (n, x) checks over m <= 600)")
 
 
-def test_criterion_7_invariant_suites(grid200, sweep4000):
+def test_criterion_7_invariant_suites(grid200, sweep4000, draw_affine):
     rng = random.Random(424243)
 
     # kneading words of p are monotone in p (finite-prefix order), exact mode
@@ -250,14 +240,14 @@ def test_criterion_7_invariant_suites(grid200, sweep4000):
 
     # coefficient alphabet and leading coefficient
     for _ in range(50):
-        m = random_affine_map(rng)
+        m = LorenzMap(*draw_affine(rng))
         xi = xi_coeffs(kneading_prefixes(m.branches, m.p, rng.randint(2, 48)))
         assert all(c in (-1, 0, 1) for c in xi.coeffs)
         assert xi.coeffs[0] == 1
 
     # lap-count submultiplicativity
     for _ in range(20):
-        m = random_affine_map(rng)
+        m = LorenzMap(*draw_affine(rng))
         counts = [s.total_laps for s in lap_states(m, 20)]
         n, k = rng.randint(1, 10), rng.randint(1, 10)
         assert counts[n + k - 1] <= counts[n - 1] * counts[k - 1]

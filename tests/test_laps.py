@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ from lorenzmaps import (
     LapState,
     LorenzMap,
     NoRootFound,
-    ResourceLimit,
     entropy_laps,
     kneading_prefixes,
     lap_count,
@@ -32,16 +30,6 @@ from lorenzmaps import (
 from lorenzmaps.estimates import EntropyEstimate
 
 F = Fraction
-
-
-def random_affine_map(rng):
-    while True:
-        b0 = F(rng.randint(105, 195), 100)
-        b1 = F(rng.randint(105, 195), 100)
-        if b0 + b1 > b0 * b1:
-            bp = make_affine_pair(b0, b1)
-            p = bp.a + F(rng.randint(1, 9999), 10000) * (bp.b - bp.a)
-            return LorenzMap(bp, p, UPPER)
 
 
 @pytest.fixture
@@ -95,11 +83,6 @@ class TestLapCount:
         with pytest.raises(DomainError):
             lap_count(half_map, 0)
 
-    def test_resource_cap(self, half_map, monkeypatch):
-        monkeypatch.setattr(sys.modules["lorenzmaps.laps"], "MAX_CLASSES", 8)
-        with pytest.raises(ResourceLimit):
-            lap_count(half_map, 30)
-
     def test_variation_past_binary64_is_exact(self, half_map, monkeypatch):
         big = 2**1100  # lap multiplicity beyond binary64's range
         assert LapState(1100, (((F(0), F(1, 2)), big),)).total_variation == F(big, 2)
@@ -138,19 +121,19 @@ class TestBruteforce:
         m = LorenzMap(bp, F(7, 10), UPPER)
         assert lap_count_bruteforce(m, 6, 10**6) == lap_count(m, 6)[0]
 
-    def test_randomized_small(self):
+    def test_randomized_small(self, draw_affine):
         rng = random.Random(67)
         for _ in range(5):
-            m = random_affine_map(rng)
+            m = LorenzMap(*draw_affine(rng))
             for n in (1, 2, 3, 4, 5):
                 assert lap_count_bruteforce(m, n, 10**5) == lap_count(m, n)[0]
 
-    def test_one_pass_matches_resampling(self):
+    def test_one_pass_matches_resampling(self, draw_affine):
         # every count of the one grid pass equals that of a pass restarted from step 0; the first
         # map's counts at steps 3-7 change if every step takes step 8's rise threshold
         rng = random.Random(3)
         for _ in range(4):
-            m = random_affine_map(rng)
+            m = LorenzMap(*draw_affine(rng))
             n, grid = 8, 10**4
             assert lap_counts_bruteforce(m, n, grid) == [_bruteforce_reference(m, k, grid) for k in range(1, n + 1)]
 
@@ -185,10 +168,10 @@ class TestBruteforce:
 
 
 class TestLapProperties:
-    def test_submultiplicative_and_growth(self):
+    def test_submultiplicative_and_growth(self, draw_affine):
         rng = random.Random(71)
         for _ in range(6):
-            m = random_affine_map(rng)
+            m = LorenzMap(*draw_affine(rng))
             counts = [s.total_laps for s in lap_states(m, 20)]
             n = rng.randint(1, 10)
             k = rng.randint(1, 10)
@@ -196,21 +179,14 @@ class TestLapProperties:
             for i in range(len(counts) - 1):
                 assert counts[i] <= counts[i + 1] <= 2 * counts[i]
 
-    def test_variation_bounds(self):
+    def test_variation_bounds(self, draw_affine):
         rng = random.Random(73)
         for _ in range(6):
-            m = random_affine_map(rng)
+            m = LorenzMap(*draw_affine(rng))
             c_min, c_max = m.branches.c_min, m.branches.c_max
             for state in lap_states(m, 14):
                 n = state.step
                 assert c_min**n <= state.total_variation <= c_max**n
-
-    def test_class_count_linear(self):
-        rng = random.Random(79)
-        for _ in range(4):
-            m = random_affine_map(rng)
-            for state in lap_states(m, 40):
-                assert len(state.classes) <= 4 * state.step + 4
 
 
 class TestEntropyLaps:
@@ -340,7 +316,7 @@ class TestMappedOnce:
         if n > window:
             assert entropy_laps(m, n, window) == _lap_estimate_reference(want, window)
 
-    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch):
+    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch, draw_affine):
         calls = {}
         call = BranchSpec.__call__
 
@@ -352,11 +328,49 @@ class TestMappedOnce:
         rng = random.Random(83)
         n = 50
         for _ in range(4):
-            m = random_affine_map(rng)
+            m = LorenzMap(*draw_affine(rng))
             calls.clear()
             lap_states(m, n)
             assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
             assert sum(calls.values()) <= 2 * n + 4
+
+
+class TestClassBound:
+    """Step n has at most 2n classes, as the laps module docstring proves, and step 1 at an interior p has 2."""
+
+    @staticmethod
+    def assert_at_most_2n(m, n=40):
+        # checked as each step is propagated, so a broken bound fails before the classes blow up
+        counts = []
+        for state in laps._propagate(m, n):
+            assert len(state.classes) <= 2 * state.step, f"step {state.step}: {len(state.classes)} classes"
+            counts.append(len(state.classes))
+        return counts
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_map(), st.sampled_from([UPPER, LOWER]))
+    def test_random_interior_p(self, m, side):
+        counts = self.assert_at_most_2n(LorenzMap(m.branches, m.p, side))
+        assert counts[0] == 2  # the bound is tight at step 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(_random_pair(), st.booleans(), st.sampled_from([UPPER, LOWER]))
+    def test_random_p_at_an_end(self, bp, at_a, side):
+        self.assert_at_most_2n(LorenzMap(bp, bp.a if at_a else bp.b, side))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(9, 19)),  # p = a
+            LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(10, 11)),  # p = b
+            LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5)),  # p has period 2
+            LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), LOWER),
+            LorenzMap(BranchPair(BranchSpec(((0, 0), (F(1, 2), 1))), BranchSpec(((F(1, 2), 0), (1, 1)))), F(1, 2)),
+        ],
+        ids=["paper-at-a", "paper-at-b", "uniform-period-2-upper", "uniform-period-2-lower", "doubling"],
+    )
+    def test_explicit_maps(self, m):
+        self.assert_at_most_2n(m)
 
 
 class TestLapUpperBound:

@@ -82,6 +82,21 @@ def test_each_default_is_named_only_by_its_estimator():
     assert sorted(stray) == []
 
 
+def test_every_cap_the_readme_cites_is_a_module_constant():
+    # a cap deleted from the package must not linger in the docs
+    cited = set(re.findall(r"\bMAX_[A-Z_]+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    constants = {
+        target.id
+        for path in (ROOT / "src" / "lorenzmaps").glob("*.py")
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert cited
+    assert sorted(cited - constants) == []
+
+
 def test_every_exported_name_resolves():
     # the spectral and sweep names are bound on first access, so a misspelt one would fail only when read
     import lorenzmaps

@@ -40,16 +40,6 @@ F = Fraction
 PHI = (1.0 + math.sqrt(5.0)) / 2.0  # positive root of x^2 - x - 1, by the quadratic formula
 
 
-def random_interior_pair(rng):
-    while True:
-        b0 = F(rng.randint(105, 195), 100)
-        b1 = F(rng.randint(105, 195), 100)
-        if b0 + b1 > b0 * b1:
-            bp = make_affine_pair(b0, b1)
-            p = bp.a + F(rng.randint(1, 9999), 10000) * (bp.b - bp.a)
-            return bp, p
-
-
 class TestXiCoeffs:
     def test_from_half_kneading(self):
         # alpha = 0110, beta = 1001, so beta_k - alpha_k = (1, -1, -1, 1)
@@ -89,10 +79,10 @@ class TestXiCoeffs:
     def test_integral_values_of_any_type_kept(self):
         assert XiPolynomial((1.0, Fraction(0), -1)).coeffs == (1, 0, -1)
 
-    def test_randomized_range_and_leading_one(self):
+    def test_randomized_range_and_leading_one(self, draw_affine):
         rng = random.Random(41)
         for _ in range(30):
-            bp, p = random_interior_pair(rng)
+            bp, p = draw_affine(rng)
             xi = xi_coeffs(kneading_prefixes(bp, p, rng.randint(2, 64)))
             assert all(c in (-1, 0, 1) for c in xi.coeffs)
             assert xi.coeffs[0] == 1
@@ -114,10 +104,10 @@ class TestXiEval:
             with pytest.raises(DomainError, match="needs x > 1"):
                 xi_eval(XiPolynomial((1,)), x)
 
-    def test_truncation_stability(self):
+    def test_truncation_stability(self, draw_affine):
         # exact rational evaluation keeps the bound meaningful below float eps
         rng = random.Random(43)
-        bp, p = random_interior_pair(rng)
+        bp, p = draw_affine(rng)
         coeffs = xi_coeffs(kneading_prefixes(bp, p, 128)).coeffs
         for x in (F(6, 5), F(3, 2), F(2)):
             for _ in range(20):
@@ -238,10 +228,10 @@ class TestMaxRoot:
         with pytest.raises(NoRootFound, match="changes sign nowhere"):
             max_root(xi, lo, 2.0, 1e-8)
 
-    def test_residual_bound_on_kneading_roots(self):
+    def test_residual_bound_on_kneading_roots(self, draw_affine):
         rng = random.Random(53)
         for _ in range(10):
-            bp, p = random_interior_pair(rng)
+            bp, p = draw_affine(rng)
             n = rng.randint(32, 128)
             xi = xi_coeffs(kneading_prefixes(bp, p, n))
             tol = 1e-9
@@ -278,10 +268,10 @@ class TestGrow:
 
 
 class TestBracketSanity:
-    def test_xi_positive_at_two(self):
+    def test_xi_positive_at_two(self, draw_affine):
         rng = random.Random(59)
         for _ in range(40):
-            bp, p = random_interior_pair(rng)
+            bp, p = draw_affine(rng)
             xi = xi_coeffs(kneading_prefixes(bp, p, rng.randint(2, 200)))
             assert xi_eval(xi, 2.0) > 0.0
 
@@ -305,10 +295,10 @@ class TestEntropySpectral:
         assert abs(spectral.entropy - laps.entropy) < 0.01
         assert math.log(1.1) <= spectral.entropy <= math.log(1.9)
 
-    def test_entropy_within_slope_bounds(self):
+    def test_entropy_within_slope_bounds(self, draw_affine):
         rng = random.Random(61)
         for _ in range(8):
-            bp, p = random_interior_pair(rng)
+            bp, p = draw_affine(rng)
             est = entropy_spectral(bp, p, n=200, tol=1e-8)
             lo = math.log(float(bp.c_min)) - est.error_bound
             hi = math.log(float(bp.c_max)) + est.error_bound

@@ -173,14 +173,13 @@ class TestSweep:
         with pytest.raises(RangeError, match="collapses"):
             sweep(bp, bp.a, bp.b, points)
 
-    def test_resource_limit_rows(self, monkeypatch):
-        # a class cap below the lap count of every point: each row reads resource-limit, and the sweep ends
-        monkeypatch.setattr(importlib.import_module("lorenzmaps.laps"), "MAX_CLASSES", 2)
-        recs = sweep(make_affine_pair(F(11, 10), F(19, 10)), F(1, 2), F(4, 5), 4, "laps", workers=1)
-        assert [r.status for r in recs] == ["resource-limit"] * 4
+    def test_no_root_rows(self):
+        # the paper pair's order-2 truncation has no root at any point: each row reads no-root, and the sweep ends
+        recs = sweep(make_affine_pair(F(11, 10), F(19, 10)), F(1, 2), F(4, 5), 4, n=2, workers=1)
+        assert [r.status for r in recs] == ["no-root"] * 4
         assert all(r.estimate is None for r in recs)
         rows = csv_text(recs).splitlines()[1:]
-        assert [row.split(",")[1:] for row in rows] == [["", "", "", "", "", "resource-limit"]] * 4
+        assert [row.split(",")[1:] for row in rows] == [["", "", "", "", "", "no-root"]] * 4
 
 
 @pytest.fixture

@@ -3,11 +3,15 @@
 The n-th iterate of a Lorenz map is piecewise increasing; each maximal
 monotone piece (a *lap*) maps its domain onto an interval.  Rather than
 enumerate the exponentially many laps, we start from the one lap [0, 1]
-of T^0 and keep one class per image interval with a multiplicity: a
-class straddling the discontinuity splits into its two branch images,
-any other class maps through the one branch covering it, and identical
-images merge by adding multiplicities.  The multiplicities carry the
-exponential lap growth as exact big integers; the classes stay few.
+of T^0 and keep one class per image interval with a multiplicity;
+identical images merge by adding multiplicities.  A class [lo, hi] maps
+end by end, lo by the upper map and hi by the lower: the two differ only
+at p, and lo = p only right of p, where f1 acts, hi = p only left of p,
+where f0 acts.  A class with lo < p < hi splits into [T(lo), f0(p)] and
+[f1(p), T(hi)].  So a left end is 0 or T^j(p) on the upper orbit of p,
+a right end 1 or T^i(p) on the lower orbit, with 1 <= i, j <= step.  The
+multiplicities carry the exponential lap growth as exact big integers;
+the classes stay few.
 
 Step n has at most 2n classes.  Each class is the image T^n(J) of a lap J
 of T^n, an interval whose ends are 0, 1 or cuts: a cut is made at step m
@@ -21,10 +25,11 @@ n - m - 1 steps.  So y, and with it T^n(J) = T^(n-m)((p, y)), depends
 only on the age a = n - m, and a >= 2 since y must return at least once.
 That is at most one class per left age a in [2, n], and symmetrically one
 per right age: at most 2 + 2(n - 1) = 2n classes in all.  Step 1 at an
-interior p has exactly 2, so the bound is tight.  Every class endpoint
-lies on a forward orbit of p, 0 or 1, and the same endpoints recur across
-classes and steps, so each branch maps each orbit point once: at most
-2n + 4 branch evaluations per call.
+interior p has exactly 2, so the bound is tight.  Each map is cached for
+the call, so it maps each point once.  Steps 1 to n move the ends of
+steps 0 to n - 1: the upper map sees p, 0 and the upper orbit up to
+T^(n-1)(p), the lower map p, 1 and the lower orbit up to T^(n-1)(p).
+That is n + 1 points each: at most 2n + 2 branch evaluations per call.
 
 The arithmetic is exact, as every map is, so classes merge only when
 their images are equal.  ``variation`` is the sum of lap-image lengths,
@@ -49,7 +54,7 @@ from fractions import Fraction
 
 from .errors import DomainError, LorenzError, ResourceLimit
 from .estimates import LAPS, EntropyEstimate
-from .maps import UPPER, BranchPair, BranchSpec, LorenzMap
+from .maps import LOWER, UPPER, BranchPair, BranchSpec, LorenzMap
 
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
@@ -85,29 +90,25 @@ def _check_iterates(n: int) -> None:
         raise ResourceLimit(f"{n} lap steps exceed the cap MAX_ITERATES = {MAX_ITERATES}")
 
 
-def _advance(classes, f0, f1, p):
-    new = {}
-    for (lo, hi), mult in classes.items():
-        halves = ((lo, p), (p, hi)) if lo < p < hi else ((lo, hi),)
-        for left, right in halves:
-            img = (f0(left), f0(right)) if right <= p else (f1(left), f1(right))
-            new[img] = new.get(img, 0) + mult
-    return new
-
-
 def _propagate(m: LorenzMap, n: int):
     """Yield the LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0.
 
-    Holds only the current classes and the two branch caches, so a caller
+    Holds only the current classes and the two map caches, so a caller
     that keeps one state holds one step.  An n past MAX_ITERATES raises
     ResourceLimit before any step.
     """
     _check_iterates(n)
-    # each branch maps each orbit point once; the caches live for this call only
-    f0, f1 = (functools.cache(branch) for branch in (m.branches.f0, m.branches.f1))
+    # left ends move by the upper map, right ends by the lower; each maps each point once, for this call only
+    up, down = (functools.cache(LorenzMap(m.branches, m.p, side).apply) for side in (UPPER, LOWER))
+    p = m.p
     classes = {(Fraction(0), Fraction(1)): 1}
     for step in range(1, n + 1):
-        classes = _advance(classes, f0, f1, m.p)
+        new = {}
+        for (lo, hi), mult in classes.items():
+            images = ((up(lo), down(p)), (up(p), down(hi))) if lo < p < hi else ((up(lo), down(hi)),)
+            for img in images:
+                new[img] = new.get(img, 0) + mult
+        classes = new
         yield LapState(step, tuple(classes.items()))
 
 

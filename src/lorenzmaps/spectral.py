@@ -173,7 +173,10 @@ def _eval_grid(coeffs, xs):
 
 
 def _bisect_root(f, xl, xr, vl, vr, tol):
-    """Refine a sign change on [xl, xr] (f(xl)=vl, f(xr)=vr, vl*vr < 0) by at most 200 halvings."""
+    """Refine a sign change on [xl, xr] (f(xl)=vl, f(xr)=vr, vl*vr < 0) by at most 200 halvings.
+
+    Returns (gamma, |f(gamma)|, bracket); the bracket is ordered and lies in [xl, xr].
+    """
     if vr == 0.0:
         return xr, 0.0, (xr, xr)
     if vl == 0.0:
@@ -187,7 +190,7 @@ def _bisect_root(f, xl, xr, vl, vr, tol):
         if (vm > 0.0) == (vr > 0.0):
             xr, vr = xm, vm
         else:
-            xl, vl = xm, vm
+            xl = xm
         if xr - xl <= tol and abs(vm) <= tol:
             break
     gamma = 0.5 * (xl + xr)
@@ -359,8 +362,7 @@ def _uncertainty_interval(xi, root, lo, hi):
     def g(x):
         return abs(xi_eval(xi, x)) - 2.0 * tail_bound(x, n) - _horner_error(xi, x)
 
-    bl = max(min(root.bracket), lo)
-    bh = min(max(root.bracket), hi)
+    bl, bh = root.bracket
     x_lo, hit_lo = _grow(g, bl, -1.0, lo)
     x_hi, hit_hi = _grow(g, bh, +1.0, hi)
     return x_lo, x_hi, not (hit_lo or hit_hi)

@@ -332,8 +332,7 @@ def cross_confirm_features(
     for feat in features:
         i_lo = max(0, int(np.searchsorted(ps, feat.p_low)) - CONFIRM_PAD)
         i_hi = min(len(ps) - 1, int(np.searchsorted(ps, feat.p_high)) + CONFIRM_PAD)
-        if i_hi - i_lo >= 2:
-            spans.append((feat, i_lo, i_hi))
+        spans.append((feat, i_lo, i_hi))
     union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
     point = partial(_sweep_point, bp, other, None, None, None)
     other_at = dict(zip(union, _run_points(point, [ok[i].p for i in union], workers)))
@@ -354,12 +353,9 @@ def cross_confirm_features(
     return confirmed
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _csv_cell(value):
+    # the csv module writes None as an empty field
+    return format(value, ".17g") if isinstance(value, float) else value
 
 
 def write_csv(records, path_or_file) -> None:

@@ -300,6 +300,53 @@ def _random_map(draw):
     return LorenzMap(bp, bp.a + F(draw(st.integers(1, 9999)), 10000) * (bp.b - bp.a), UPPER)
 
 
+#: edge cases of the lap step: p = a, p = b, a periodic p on both sides, and the doubling map (a = p = b)
+_EXPLICIT_MAPS = pytest.mark.parametrize(
+    "m",
+    [
+        LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(9, 19)),  # p = a
+        LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(10, 11)),  # p = b
+        LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5)),  # p has period 2
+        LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), LOWER),
+        LorenzMap(BranchPair(BranchSpec(((0, 0), (F(1, 2), 1))), BranchSpec(((F(1, 2), 0), (1, 1)))), F(1, 2)),
+    ],
+    ids=["paper-at-a", "paper-at-b", "uniform-period-2-upper", "uniform-period-2-lower", "doubling"],
+)
+
+
+def _one_sided_orbit(m, side, n):
+    # [T(p), ..., T^n(p)] under the upper or the lower map, by branch calls alone
+    f0, f1, p = m.branches.f0, m.branches.f1, m.p
+    x, out = p, []
+    for _ in range(n):
+        x = f0(x) if x < p or (x == p and side == LOWER) else f1(x)
+        out.append(x)
+    return out
+
+
+class TestEndOrbits:
+    """Every left end of a step-s class is 0 or T^j(p), 1 <= j <= s, under the upper map, and every
+    right end is 1 or T^i(p), 1 <= i <= s, under the lower map, whichever side the map is."""
+
+    @staticmethod
+    def assert_ends_on_orbits(m, n):
+        upper, lower = _one_sided_orbit(m, UPPER, n), _one_sided_orbit(m, LOWER, n)
+        for state in lap_states(m, n):
+            lefts, rights = {0, *upper[: state.step]}, {1, *lower[: state.step]}
+            for (lo, hi), _ in state.classes:
+                assert lo in lefts, f"step {state.step}: left end {lo} off the upper orbit"
+                assert hi in rights, f"step {state.step}: right end {hi} off the lower orbit"
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_map(), st.sampled_from([UPPER, LOWER]), st.integers(1, 30))
+    def test_random_maps(self, m, side, n):
+        self.assert_ends_on_orbits(LorenzMap(m.branches, m.p, side), n)
+
+    @_EXPLICIT_MAPS
+    def test_explicit_maps(self, m):
+        self.assert_ends_on_orbits(m, 30)
+
+
 class TestMappedOnce:
     """Each orbit point is mapped once per branch, with the states and estimates of the unmemoised loop.
 
@@ -316,7 +363,7 @@ class TestMappedOnce:
         if n > window:
             assert entropy_laps(m, n, window) == _lap_estimate_reference(want, window)
 
-    def test_a_call_maps_at_most_2n_plus_4_points(self, monkeypatch, draw_affine):
+    def test_a_call_maps_at_most_2n_plus_2_points(self, monkeypatch, draw_affine):
         calls = {}
         call = BranchSpec.__call__
 
@@ -332,7 +379,7 @@ class TestMappedOnce:
             calls.clear()
             lap_states(m, n)
             assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
-            assert sum(calls.values()) <= 2 * n + 4
+            assert sum(calls.values()) <= 2 * n + 2
 
 
 class TestClassBound:
@@ -358,17 +405,7 @@ class TestClassBound:
     def test_random_p_at_an_end(self, bp, at_a, side):
         self.assert_at_most_2n(LorenzMap(bp, bp.a if at_a else bp.b, side))
 
-    @pytest.mark.parametrize(
-        "m",
-        [
-            LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(9, 19)),  # p = a
-            LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(10, 11)),  # p = b
-            LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5)),  # p has period 2
-            LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), LOWER),
-            LorenzMap(BranchPair(BranchSpec(((0, 0), (F(1, 2), 1))), BranchSpec(((F(1, 2), 0), (1, 1)))), F(1, 2)),
-        ],
-        ids=["paper-at-a", "paper-at-b", "uniform-period-2-upper", "uniform-period-2-lower", "doubling"],
-    )
+    @_EXPLICIT_MAPS
     def test_explicit_maps(self, m):
         self.assert_at_most_2n(m)
 

@@ -669,7 +669,13 @@ class TestExclusionScan:
         st.sampled_from([1.025, 1.05, 1.3, 1.9]),
     )
     def test_random_series(self, coeffs, lo):
-        _assert_scan_matches_full_grid(XiPolynomial(tuple(coeffs)), lo)
+        xi = XiPolynomial(tuple(coeffs))
+        _assert_scan_matches_full_grid(xi, lo)
+        try:
+            bracket = max_root(xi, lo, 2.0, 1e-7).bracket
+        except NoRootFound:
+            return
+        assert lo <= bracket[0] <= bracket[1] <= 2.0
 
     @pytest.mark.parametrize("xi, lo", _NO_CROSSING, ids=_NO_CROSSING_IDS)
     def test_no_crossing_on_either_path(self, xi, lo):

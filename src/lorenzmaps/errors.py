@@ -10,7 +10,7 @@ class InvalidBranch(LorenzError, ValueError):
 
 
 class InvalidSlopes(InvalidBranch):
-    """Affine slopes do not admit a valid discontinuity interval."""
+    """An affine slope is at most 1."""
 
 
 class DomainError(LorenzError, ValueError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, ResourceLimit
+from .errors import DomainError, LengthMismatch, ResourceLimit
 from .maps import LOWER, UPPER, BranchPair, BranchSpec, LorenzMap, _coerce
 
 #: _integer_walk raises ResourceLimit past this many steps, before the first one; the spectral
@@ -31,7 +31,10 @@ MAX_STEPS = 150_000
 
 @dataclass(frozen=True)
 class KneadingPair:
-    """Finite kneading prefixes plus their certified orbit periods, if any."""
+    """Finite kneading prefixes plus their certified orbit periods, if any.
+
+    The words have one length (else LengthMismatch), so ``alpha <= beta`` is lexicographic.
+    """
 
     alpha: str
     beta: str
@@ -39,6 +42,8 @@ class KneadingPair:
     beta_period: int | None = None
 
     def __post_init__(self):
+        if len(self.alpha) != len(self.beta):
+            raise LengthMismatch(f"kneading prefixes differ in length: {len(self.alpha)} vs {len(self.beta)}")
         for word, period in ((self.alpha, self.alpha_period), (self.beta, self.beta_period)):
             if word.strip("01"):
                 raise DomainError(f"symbol words may contain only '0' and '1': {word!r}")

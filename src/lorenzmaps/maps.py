@@ -120,7 +120,7 @@ class BranchSpec:
         """The branch x -> slope*x on [0, 1/slope]; the usual f0."""
         slope = _coerce(slope)
         if slope <= 1:
-            raise InvalidSlopes("affine branch slope must exceed 1")
+            raise InvalidSlopes(f"affine branch slope must exceed 1, got {fmt_number(slope)}")
         return cls(((0, 0), (1 / slope, 1)))
 
     @classmethod
@@ -128,7 +128,7 @@ class BranchSpec:
         """The branch x -> 1 - slope + slope*x on [(slope-1)/slope, 1]; the usual f1."""
         slope = _coerce(slope)
         if slope <= 1:
-            raise InvalidSlopes("affine branch slope must exceed 1")
+            raise InvalidSlopes(f"affine branch slope must exceed 1, got {fmt_number(slope)}")
         return cls((((slope - 1) / slope, 0), (1, 1)))
 
     def _piece(self, seq, value) -> int:
@@ -168,7 +168,8 @@ class BranchPair:
         if self.f1.hi != 1:
             raise InvalidBranch("f1 must end at x = 1")
         if self.a > self.b:
-            raise InvalidBranch("empty discontinuity interval: a > b")
+            bounds = f"a = {fmt_number(self.a)}, b = {fmt_number(self.b)}"
+            raise InvalidBranch(f"empty discontinuity interval: a > b ({bounds})")
 
     @property
     def a(self) -> Fraction:
@@ -216,15 +217,10 @@ def _branch_from_json(obj: dict, role: str) -> BranchSpec:
 def make_affine_pair(b0, b1) -> BranchPair:
     """Affine pair f0(x) = b0*x on [0, 1/b0], f1(x) = 1 - b1 + b1*x on [(b1-1)/b1, 1].
 
-    Requires b0, b1 > 1 and b0 + b1 > b0*b1; the latter is exactly
-    a = (b1-1)/b1 < 1/b0 = b, so some p strictly between the branch
-    domains' inner endpoints exists.  Raises InvalidSlopes otherwise.
+    The branches need b0, b1 > 1 (else InvalidSlopes) and BranchPair needs
+    b0 + b1 >= b0*b1, which is exactly a = (b1-1)/b1 <= 1/b0 = b (else
+    InvalidBranch); b0 = b1 = 2 is the doubling map, with a = p = b = 1/2.
     """
-    b0, b1 = _coerce(b0), _coerce(b1)
-    if not (b0 > 1 and b1 > 1):
-        raise InvalidSlopes(f"slopes must exceed 1, got ({fmt_number(b0)}, {fmt_number(b1)})")
-    if b0 + b1 <= b0 * b1:
-        raise InvalidSlopes(f"need b0 + b1 > b0*b1, got ({fmt_number(b0)}, {fmt_number(b1)})")
     return BranchPair(BranchSpec.affine_from_zero(b0), BranchSpec.affine_to_one(b1))
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch, MissingPeriodicForm, NoRootFound
+from .errors import DomainError, MissingPeriodicForm, NoRootFound
 from .estimates import SPECTRAL, EntropyEstimate
 from .kneading import KneadingPair, _check_steps, kneading_prefixes
 from .maps import BranchPair
@@ -98,10 +98,6 @@ class RootResult:
 
 def xi_coeffs(kp: KneadingPair) -> XiPolynomial:
     """Coefficients beta_k - alpha_k; carries a periodic form if beta has one."""
-    if len(kp.alpha) != len(kp.beta):
-        raise LengthMismatch(
-            f"kneading prefixes differ in length: {len(kp.alpha)} vs {len(kp.beta)}"
-        )
     coeffs = tuple(int(b) - int(a) for a, b in zip(kp.alpha, kp.beta))
     form = None
     if kp.beta_period is not None:

@@ -58,15 +58,17 @@ MAX_POINTS = 10**6
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point: its exact p, its estimate and its status.
+    """One grid point: its exact p and its estimate, or None where the spectral truncation has no root.
 
-    The status is ``ok``, or ``no-root`` when the spectral truncation has no
-    root in its bracket; the estimate is None unless the status is ok.
+    The status follows from the estimate: ``ok`` with one, ``no-root`` without.
     """
 
     p: Fraction
     estimate: EntropyEstimate | None
-    status: str
+
+    @property
+    def status(self) -> str:
+        return STATUS_NO_ROOT if self.estimate is None else STATUS_OK
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,9 @@ def estimate(bp, p, method: str, *, n=None, tol=None, window=None) -> EntropyEst
 
 def _sweep_point(bp, method, n, tol, window, p) -> SweepRecord:
     try:
-        return SweepRecord(p, estimate(bp, p, method, n=n, tol=tol, window=window), STATUS_OK)
+        return SweepRecord(p, estimate(bp, p, method, n=n, tol=tol, window=window))
     except NoRootFound:
-        return SweepRecord(p, None, STATUS_NO_ROOT)
+        return SweepRecord(p, None)
 
 
 def _serial(fn, ps) -> list:

@@ -74,9 +74,19 @@ class TestEntropyCommand:
         assert payload["certified"] is False
 
     def test_invalid_slopes_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "entropy", "--b0", "2", "--b1", "2", "--p", "0.5")
+        code, _, err = run_cli(capsys, "entropy", "--b0", "1", "--b1", "2", "--p", "0.5")
         assert code == 2
         assert "InvalidSlopes" in err
+
+    def test_doubling_map_from_slopes_and_from_a_branch_file(self, capsys, tmp_path):
+        # b0 + b1 = b0*b1 leaves a = p = b = 1/2: both routes admit the pair and print the same point
+        spec_file = tmp_path / "branches.json"
+        spec_file.write_text(json.dumps({"f0": {"type": "affine", "slope": "2"}, "f1": {"type": "affine", "slope": "2"}}))
+        from_slopes = run_cli(capsys, "entropy", "--b0", "2", "--b1", "2", "--p", "1/2")
+        from_file = run_cli(capsys, "entropy", "--branches", str(spec_file), "--p", "1/2")
+        assert from_slopes[0] == from_file[0] == 0
+        assert from_slopes[1] == from_file[1]
+        assert json.loads(from_slopes[1])["entropy"] == pytest.approx(math.log(2))
 
     def test_missing_branches_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "entropy", "--p", "0.5")
@@ -468,8 +478,8 @@ class TestArgumentHandling:
         assert len(err.encode()) < 300
 
     @pytest.mark.parametrize("role", ["f0", "f1"])
-    @pytest.mark.parametrize("slope", ["1", "0.9"])
-    def test_affine_slope_at_most_one_in_branch_file_exit_2(self, capsys, tmp_path, role, slope):
+    @pytest.mark.parametrize("slope, shown", [("1", "1"), ("0.9", "9/10")], ids=["1", "0.9"])
+    def test_affine_slope_at_most_one_in_branch_file_exit_2(self, capsys, tmp_path, role, slope, shown):
         obj = {"f0": {"type": "affine", "slope": "11/10"}, "f1": {"type": "affine", "slope": "19/10"}}
         obj[role]["slope"] = slope
         spec_file = tmp_path / "branches.json"
@@ -477,7 +487,7 @@ class TestArgumentHandling:
         code, out, err = run_cli(capsys, "entropy", "--branches", str(spec_file), "--p", "0.7")
         assert code == 2
         assert out == ""
-        assert err == "error: InvalidSlopes: affine branch slope must exceed 1\n"
+        assert err == f"error: InvalidSlopes: affine branch slope must exceed 1, got {shown}\n"
 
     def test_branch_file_numbers_read_as_written(self, capsys, tmp_path):
         # a JSON number is read from its text, not from its binary64 rounding (which is exactly 1)
@@ -826,7 +836,7 @@ class TestStartup:
             (None, None),
             (["laps", "--b0", "1.1", "--b1", "1.9", "--p", "0.7", "--n", "20", "--window", "5"], 0),
             (["kneading", "--b0", "1.1", "--b1", "1.9", "--p", "0.7"], 0),
-            (["laps", "--b0", "2", "--b1", "2", "--p", "0.5"], 2),
+            (["laps", "--b0", "2", "--b1", "3", "--p", "0.5"], 2),  # a = 2/3 > b = 1/2
         ],
         ids=["import", "laps", "kneading", "laps-exit-2"],
     )

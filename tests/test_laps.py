@@ -308,10 +308,15 @@ _EXPLICIT_MAPS = pytest.mark.parametrize(
         LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(10, 11)),  # p = b
         LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5)),  # p has period 2
         LorenzMap(make_uniform_pair(F(3, 2)), F(3, 5), LOWER),
-        LorenzMap(BranchPair(BranchSpec(((0, 0), (F(1, 2), 1))), BranchSpec(((F(1, 2), 0), (1, 1)))), F(1, 2)),
+        LorenzMap(make_uniform_pair(2), F(1, 2)),
     ],
     ids=["paper-at-a", "paper-at-b", "uniform-period-2-upper", "uniform-period-2-lower", "doubling"],
 )
+
+
+def test_doubling_pair_is_the_uniform_pair_of_slope_2():
+    hand_built = BranchPair(BranchSpec(((0, 0), (F(1, 2), 1))), BranchSpec(((F(1, 2), 0), (1, 1))))
+    assert make_uniform_pair(2) == hand_built
 
 
 def _one_sided_orbit(m, side, n):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lorenzmaps import (
     LOWER,
@@ -51,9 +51,12 @@ class TestMakeAffinePair:
         bp = make_affine_pair(F(3, 2), F(3, 2))
         assert (bp.a, bp.b) == (F(1, 3), F(2, 3))
 
-    def test_boundary_slopes_rejected(self):
-        with pytest.raises(InvalidSlopes):
-            make_affine_pair(2, 2)  # b0 + b1 == b0*b1
+    def test_boundary_slopes_admitted_and_a_above_b_rejected(self):
+        bp = make_affine_pair(2, 2)  # b0 + b1 == b0*b1: the doubling map's pair
+        assert (bp.a, bp.b) == (F(1, 2), F(1, 2))
+        with pytest.raises(InvalidBranch, match="a > b") as info:
+            make_affine_pair(2, 3)  # b0 + b1 < b0*b1
+        assert str(info.value) == "empty discontinuity interval: a > b (a = 2/3, b = 1/2)"
 
     def test_slope_at_most_one_rejected(self):
         with pytest.raises(InvalidSlopes):
@@ -68,6 +71,29 @@ class TestMakeAffinePair:
         bp = make_affine_pair(1.2, 1.2)
         assert bp.f0.slopes == (F(1.2),) and bp.a == (F(1.2) - 1) / F(1.2)
         assert all(type(v) is F for f in (bp.f0, bp.f1) for xy in f.points for v in xy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(50, 400).map(lambda k: F(k, 100)), st.integers(50, 400).map(lambda k: F(k, 100)))
+    @example(F(2), F(2))
+    @example(F(3, 2), F(3))
+    @example(F(3), F(3, 2))
+    def test_every_route_admits_the_same_pairs(self, b0, b1):
+        # the slopes, the affine JSON and two-point pwl branches: all raise, or all build one pair
+        def from_json():
+            affine = {"f0": {"type": "affine", "slope": str(b0)}, "f1": {"type": "affine", "slope": str(b1)}}
+            return BranchPair.from_json_dict(affine)
+
+        def from_points():
+            return BranchPair(BranchSpec(((0, 0), (1 / b0, 1))), BranchSpec((((b1 - 1) / b1, 0), (1, 1))))
+
+        built = []
+        for route in (lambda: make_affine_pair(b0, b1), from_json, from_points):
+            try:
+                built.append(route())
+            except InvalidBranch:
+                built.append(None)
+        assert built[0] == built[1] == built[2]
+        assert (built[0] is not None) == (b0 > 1 and b1 > 1 and b0 + b1 >= b0 * b1)
 
 
 class TestBranchEval:
@@ -412,6 +438,6 @@ class TestFmtNumber:
         with pytest.raises(DomainError) as info:
             LorenzMap(make_uniform_pair(F(3, 2)), F(1, 10**5000))
         assert str(info.value) == "p = 1.0000000000000000e-5000 outside [1/3, 2/3]"
-        with pytest.raises(InvalidSlopes) as info:
+        with pytest.raises(InvalidBranch) as info:
             make_affine_pair(F(10) ** 5000, F(3, 2))
-        assert str(info.value) == "need b0 + b1 > b0*b1, got (1.0000000000000000e+5000, 3/2)"
+        assert str(info.value) == "empty discontinuity interval: a > b (a = 1/3, b = 1.0000000000000000e-5000)"

@@ -61,8 +61,10 @@ class TestXiCoeffs:
         assert xi_coeffs(KneadingPair("0", "1")).coeffs == (1,)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            xi_coeffs(KneadingPair("01", "100"))
+        # the pair itself refuses words of unequal length, so xi_coeffs never sees one
+        for alpha, beta in (("01", "100"), ("011", "10")):
+            with pytest.raises(LengthMismatch, match="differ in length"):
+                KneadingPair(alpha, beta)
 
     def test_coefficient_range_enforced(self):
         with pytest.raises(DomainError):

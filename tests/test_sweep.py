@@ -1,7 +1,9 @@
+import dataclasses
 import importlib
 import math
 import multiprocessing
 import os
+import pickle
 import sys
 from concurrent.futures import Future
 from fractions import Fraction
@@ -38,13 +40,23 @@ sweep_module = importlib.import_module("lorenzmaps.sweep")
 
 
 def ok_record(p, h, err=1e-9):
-    return SweepRecord(p, EntropyEstimate(h, math.exp(h), "spectral", 100, err, True), "ok")
+    return SweepRecord(p, EntropyEstimate(h, math.exp(h), "spectral", 100, err, True))
 
 
 @pytest.fixture(scope="module")
 def uniform_records():
     bp = make_uniform_pair(F(3, 2))
     return sweep(bp, F(7, 20), F(13, 20), 61, "spectral", n=500, tol=1e-9)
+
+
+class TestSweepRecord:
+    def test_status_follows_from_the_estimate(self):
+        assert [f.name for f in dataclasses.fields(SweepRecord)] == ["p", "estimate"]
+        assert SweepRecord(F(1, 2), None).status == "no-root"
+        record = ok_record(F(1, 2), 0.5)
+        assert record.status == "ok"
+        # forked workers return records pickled
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestSweep:
@@ -331,7 +343,7 @@ class TestDetectNonmonotonic:
     def test_fewer_than_three_ok_records(self, ok):
         # the curve 0.5, 0.4, 0.5 dips once all three points are ok; failed records do not count
         ps, hs = (0.1, 0.2, 0.3), (0.5, 0.4, 0.5)
-        recs = [ok_record(p, h) if k < ok else SweepRecord(p, None, "no-root") for k, (p, h) in enumerate(zip(ps, hs))]
+        recs = [ok_record(p, h) if k < ok else SweepRecord(p, None) for k, (p, h) in enumerate(zip(ps, hs))]
         assert detect_nonmonotonic(recs, 0.01) == []
         bp = make_affine_pair(F(11, 10), F(19, 10))
         feature = sweep_module.NonMonotoneFeature(0.1, 0.3, 0.1, DIP)
@@ -406,7 +418,7 @@ class TestCrossConfirm:
         bp = make_affine_pair(F(11, 10), F(19, 10))
         grid = sweep_module._grid(bp, F(1, 2), F(4, 5), 30)
         dip = [0.19 if i == 15 else 0.2 for i in range(30)]
-        records = [SweepRecord(p, EntropyEstimate(h, math.exp(h), "laps", 50, 1e-9, False), "ok")
+        records = [SweepRecord(p, EntropyEstimate(h, math.exp(h), "laps", 50, 1e-9, False))
                    for p, h in zip(grid, dip)]
         features = detect_nonmonotonic(records, 1e-5)
         assert [f.direction for f in features] == [DIP]
@@ -437,7 +449,7 @@ class TestCrossConfirm:
             return {p: 0.2 - depth if i == 15 else 0.2 for i, p in enumerate(grid)}
 
         laps_h, spectral_h = dip(0.01), dip(0.01 + gap * (e_l + e_s))
-        records = [SweepRecord(p, EntropyEstimate(laps_h[p], math.exp(laps_h[p]), "laps", 50, e_l, False), "ok")
+        records = [SweepRecord(p, EntropyEstimate(laps_h[p], math.exp(laps_h[p]), "laps", 50, e_l, False))
                    for p in grid]
         features = detect_nonmonotonic(records, 1e-5)
         assert [f.direction for f in features] == [DIP]
@@ -484,7 +496,7 @@ class TestCompareMethods:
         assert mean_diff <= max_diff
 
     def test_no_common_ok_records(self):
-        bad = [SweepRecord(0.1, None, "no-root")]
+        bad = [SweepRecord(0.1, None)]
         good = [ok_record(0.1, 0.5)]
         with pytest.raises(InsufficientData):
             compare_methods(bad, good)
@@ -506,7 +518,7 @@ class TestCsv:
         assert line.split(",")[0] == "0.33333333333333331"
 
     def test_failed_record_row(self):
-        text = csv_text([SweepRecord(0.25, None, "no-root")])
+        text = csv_text([SweepRecord(0.25, None)])
         assert text.split("\n")[1] == "0.25,,,,,,no-root"
 
     def test_write_to_path(self, tmp_path, uniform_records):

@@ -103,10 +103,10 @@ def _json_number(value):
 def _cmd_entropy(args) -> int:
     p = parse_scalar(args.p)
     bp = _load_pair(args)
-    from .sweep import estimate, record_row
+    from .sweep import estimate
 
     est = estimate(bp, p, args.method, n=args.n, tol=args.tol, window=args.window)
-    _emit({**record_row(p, est), "p": _json_number(p)})
+    _emit({"p": _json_number(p), **asdict(est)})
     return 0
 
 
@@ -138,11 +138,16 @@ def _cmd_laps(args) -> int:
 
 def _cmd_sweep(args) -> int:
     bp = _load_pair(args)
+    files = {Path(args.branches).resolve(): "--branches"} if args.branches else {}
     for option, path in (("--out", args.out), ("--features-out", args.features_out)):
-        # a directory, or a path in a missing one, is caught before any point runs; an unwritable one fails at the write
+        # a directory, a path in a missing one, or a file another option names is caught before any point
+        # runs; an unwritable one fails at the write
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise LorenzError(f"{option} {path!r}: not a file in an existing directory")
-    from .sweep import cross_confirm_features, detect_nonmonotonic, record_row, sweep, write_csv
+        other = files.setdefault(Path(path).resolve(), option) if path else option
+        if other != option:
+            raise LorenzError(f"{option} {path!r}: the same file as {other}")
+    from .sweep import cross_confirm_features, detect_nonmonotonic, sweep, write_csv
 
     records = sweep(
         bp,
@@ -156,7 +161,7 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
     )
     if args.format == "json":
-        _emit([record_row(r.p, r.estimate, r.status) for r in records], args.out)
+        _emit([r.row() for r in records], args.out)
     else:
         write_csv(records, args.out or sys.stdout)
     if args.features_out:

@@ -61,12 +61,7 @@ def itinerary(m: LorenzMap, x, n: int) -> str:
     The walk stops early only from p itself, at its period; from any other x
     it takes all n steps.
     """
-    if n < 1:
-        raise DomainError("itinerary length must be >= 1")
-    x = _coerce(x)
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x!r} outside [0, 1]")
-    return _integer_walk(m, x, n)[0]
+    return _integer_walk(m, _coerce(x), n)[0]
 
 
 def _check_steps(n: int) -> None:
@@ -95,9 +90,14 @@ def _integer_walk(m: LorenzMap, x: Fraction, n: int):
     from p reads its period off that offset too: T^k(p) = p exactly when the
     offset is 0 at step k + 1, so the smallest such k <= n is the certified
     period, and the walk stops there with the word repeated.  A walk from
-    any other x has period None and takes all n steps.  An n past
-    MAX_STEPS raises ResourceLimit before any step.
+    any other x has period None and takes all n steps.  An n below 1 or an
+    x outside [0, 1] raises DomainError, and an n past MAX_STEPS
+    ResourceLimit, before any step.
     """
+    if n < 1:
+        raise DomainError(f"need at least one symbol (n >= 1), got n = {n}")
+    if not 0 <= x <= 1:
+        raise DomainError(f"{x!r} outside [0, 1]")
     _check_steps(n)
     f0, f1 = _integer_pieces(m.branches.f0), _integer_pieces(m.branches.f1)
     pn, pd = m.p.numerator, m.p.denominator
@@ -129,8 +129,6 @@ def kneading_prefixes(bp: BranchPair, p, n: int) -> KneadingPair:
     Each one-sided orbit of p is walked once, exactly, and attaches its
     certified period up to n; a float p is read at its binary64 value.
     """
-    if n < 1:
-        raise DomainError("kneading prefix length must be >= 1")
     lower = LorenzMap(bp, p, LOWER)
     upper = LorenzMap(bp, p, UPPER)
     alpha, alpha_period = _integer_walk(lower, lower.p, n)

@@ -59,7 +59,7 @@ from .maps import LOWER, UPPER, BranchPair, BranchSpec, LorenzMap
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
 #: propagation raises ResourceLimit past this many steps, before the first one; the lap
-#: estimate at this order took 32-38 s and 33 MB peak RSS on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
+#: estimate at this order took 23-32 s and 18 MB peak RSS on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
 MAX_ITERATES = 1000
 
 
@@ -163,8 +163,7 @@ def lap_counts_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> list:
         limit = int(math.log(sys.float_info.max) / _ln(mf.branches.c_max))
         raise DomainError(f"n = {n} exceeds {limit}, the largest n at which c_max^n is a finite binary64") from None
     p = float(mf.p)
-    f0, f1 = mf.branches.f0, mf.branches.f1
-    xs0, ys0, xs1, ys1 = (np.array(v, dtype=float) for v in (f0._xs, f0._ys, f1._xs, f1._ys))
+    (xs0, ys0), (xs1, ys1) = (np.array(f.points, dtype=float).T for f in (mf.branches.f0, mf.branches.f1))
     y = np.linspace(0.0, 1.0, grid + 1)
     upper = mf.side == UPPER
     counts = []

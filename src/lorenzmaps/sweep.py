@@ -70,6 +70,11 @@ class SweepRecord:
     def status(self) -> str:
         return STATUS_NO_ROOT if self.estimate is None else STATUS_OK
 
+    def row(self) -> dict:
+        """The record as a JSON or CSV row: float(p), the EntropyEstimate fields (None without one), then status."""
+        estimate = {f.name: getattr(self.estimate, f.name, None) for f in fields(EntropyEstimate)}
+        return {"p": float(self.p), **estimate, "status": self.status}
+
 
 @dataclass(frozen=True)
 class NonMonotoneFeature:
@@ -376,14 +381,6 @@ def csv_text(records) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for rec in records:
-        row = record_row(rec.p, rec.estimate, rec.status)
+        row = rec.row()
         writer.writerow([_csv_cell(row[key]) for key in CSV_FIELDS])
     return buffer.getvalue()
-
-
-def record_row(p, est, status=None) -> dict:
-    """A point as JSON or CSV: p, the EntropyEstimate fields (None without one), then status if given."""
-    row = {"p": float(p), **{f.name: getattr(est, f.name, None) for f in fields(EntropyEstimate)}}
-    if status is not None:
-        row["status"] = status
-    return row

@@ -675,6 +675,32 @@ class TestInputErrorsBeforeWork:
         assert err.startswith("error:") and "window" in err
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            ["--out", "curve.csv", "--features-out", "curve.csv"],
+            ["--out", "curve.csv", "--features-out", "./curve.csv"],
+            ["--out", "branches.json"],
+            ["--features-out", "branches.json"],
+        ],
+        ids=["out-is-features-out", "out-is-features-out-spelt-twice", "out-is-branches", "features-out-is-branches"],
+    )
+    def test_colliding_sweep_paths_exit_2(self, capsys, monkeypatch, tmp_path, paths):
+        # one file named by two options would be overwritten by the second write, or the sweep would overwrite
+        # its own input
+        monkeypatch.chdir(tmp_path)
+        branches = json.dumps({"f0": {"type": "affine", "slope": "1.1"}, "f1": {"type": "affine", "slope": "1.9"}})
+        (tmp_path / "branches.json").write_text(branches)
+        calls = []
+        monkeypatch.setattr(sys.modules["lorenzmaps.sweep"], "_run_points", lambda *args: calls.append("points"))
+        code, out, err = run_cli(capsys, "sweep", "--branches", "branches.json", *SWEEP_ARGS[5:], *paths)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: LorenzError:") and "the same file as" in err
+        assert calls == []
+        assert [path.name for path in tmp_path.iterdir()] == ["branches.json"]
+        assert (tmp_path / "branches.json").read_text() == branches
+
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_points_past_the_cap_exit_4(self, command):
         argv = [command, "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11",

@@ -105,6 +105,20 @@ def test_every_exported_name_resolves():
     assert set(lorenzmaps.__all__) <= set(dir(lorenzmaps))
 
 
+def test_unknown_name_raises_attribute_error_and_loads_nothing():
+    # a name neither bound nor deferred is rejected before any submodule is imported
+    code = (
+        "import sys, lorenzmaps\n"
+        "print(hasattr(lorenzmaps, 'no_such_name'), 'numpy' in sys.modules)\n"
+        "lorenzmaps.no_such_name\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert result.stdout.split() == ["False", "False"]
+    assert result.stderr.splitlines()[-1] == "AttributeError: module 'lorenzmaps' has no attribute 'no_such_name'"
+
+
 _SWEEP_BINDING_CHECK = """
 import sys, types
 import lorenzmaps

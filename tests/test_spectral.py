@@ -268,6 +268,26 @@ class TestGrow:
 
         assert spectral._grow(g, 2.0, +1.0, 2.0) == (2.0, True)
 
+    @pytest.mark.parametrize(
+        "edge, start, direction, limit",
+        [(0.3, 0.0, +1.0, 1.0), (1.7, 2.0, -1.0, 1.0), (0.9, 0.0, +1.0, 1.0), (1.1, 2.0, -1.0, 1.0)],
+        ids=["doubling-up", "doubling-down", "final-bisection-up", "final-bisection-down"],
+    )
+    def test_edge_found_before_the_limit(self, edge, start, direction, limit):
+        # g <= 0 from start up to edge and > 0 beyond it; an edge past half the span is passed by every
+        # doubling step, so the bisection runs between the last doubling and the limit
+        def g(x):
+            return direction * (x - edge)
+
+        got, hit_limit = spectral._grow(g, start, direction, limit)
+        assert not hit_limit
+        assert g(got) <= 0.0
+        assert abs(got - edge) < 1e-12
+
+    @pytest.mark.parametrize("start, direction, limit", [(0.0, +1.0, 1.0), (2.0, -1.0, 1.0)], ids=["up", "down"])
+    def test_limit_reached(self, start, direction, limit):
+        assert spectral._grow(lambda x: -1.0, start, direction, limit) == (limit, True)
+
 
 class TestBracketSanity:
     def test_xi_positive_at_two(self, draw_affine):

@@ -58,6 +58,18 @@ class TestSweepRecord:
         # forked workers return records pickled
         assert pickle.loads(pickle.dumps(record)) == record
 
+    def test_row(self):
+        # p, the estimate's fields, then status, whether or not there is an estimate
+        keys = ["p"] + [f.name for f in dataclasses.fields(EntropyEstimate)] + ["status"]
+        record = ok_record(F(1, 3), 0.5)
+        row = record.row()
+        assert list(row) == keys
+        assert type(row["p"]) is float and row["p"] == float(F(1, 3))
+        assert row == {"p": float(F(1, 3)), **dataclasses.asdict(record.estimate), "status": "ok"}
+        empty = SweepRecord(F(1, 3), None).row()
+        assert list(empty) == keys
+        assert empty == {**dict.fromkeys(keys), "p": float(F(1, 3)), "status": "no-root"}
+
 
 class TestSweep:
     def test_uniform_is_flat(self, uniform_records):

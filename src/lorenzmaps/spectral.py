@@ -106,9 +106,21 @@ def xi_coeffs(kp: KneadingPair) -> XiPolynomial:
 
 
 def _horner(coeffs, t):
-    acc = 0
+    """sum_k coeffs[k] t^k by Horner's rule, for t = 1/x a float, a Fraction or an array.
+
+    A Fraction gives the exact value, and an array is updated in place,
+    without a temporary per coefficient.  Each step rounds acc * t and then
+    acc + c exactly as numpy's polyval does, so the values agree with it bit
+    for bit, but for the sign of an underflowed zero: a zero c is not added,
+    since acc + 0 is acc except that it turns -0.0 into +0.0, and acc reaches
+    -0.0 only by underflow, which needs about 1000 steps at t >= 1/2.  Most
+    kneading coefficients are zero.
+    """
+    acc = t * 0
     for c in reversed(coeffs):
-        acc = acc * t + c
+        acc *= t
+        if c:
+            acc += c
     return acc
 
 
@@ -148,24 +160,6 @@ def tail_bound(x, n: int):
     """x^{-n}/(1 - 1/x): bound on any dropped tail sum_{k>=n} d_k x^{-k}, |d_k| <= 1."""
     x = _check_x(x)
     return x ** (-n) / (1 - 1 / x)
-
-
-def _eval_grid(coeffs, xs):
-    """Series at every entry of the array xs: Horner in t = 1/x, in place.
-
-    Each step rounds acc * t and then acc + c exactly as numpy's polyval
-    does, so the values agree with it bit for bit, without a temporary per
-    coefficient.  A zero c is not added: acc + 0 is acc, except that it
-    turns -0.0 into +0.0, and acc reaches -0.0 only by underflow, which
-    needs about 1000 steps at t >= 1/2.  Most kneading coefficients are zero.
-    """
-    t = 1.0 / xs
-    acc = np.full_like(t, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc *= t
-        if c:
-            acc += c
-    return acc
 
 
 def _bisect_root(f, xl, xr, vl, vr, tol):
@@ -260,13 +254,13 @@ def _scan(xi, lo, hi, num):
     """
     nodes = np.arange(0, num + 1, RANGE_CELLS)
     x = _grid_x(lo, hi, num, nodes)
-    v = _eval_grid(xi.coeffs, x)
+    v = _horner(xi.coeffs, 1 / x)
     ranges, event = _suspects(xi, x[:-1], x[1:], v[:-1], v[1:])
     if event is not None:
         ranges = np.append(ranges, event)
     idx = ranges[:, None] * RANGE_CELLS + np.arange(RANGE_CELLS + 1)
     xs = _grid_x(lo, hi, num, idx)
-    return xs, _eval_grid(xi.coeffs, xs)
+    return xs, _horner(xi.coeffs, 1 / xs)
 
 
 def _first_crossing(xi, xs, vals):
@@ -283,7 +277,7 @@ def _first_crossing(xi, xs, vals):
     for start in range(0, cells.size, 1024):
         block = cells[start : start + 1024, None]
         sub = _grid_x(bottoms[block], tops[block], 64, np.arange(65))
-        sv = _eval_grid(xi.coeffs, sub)
+        sv = _horner(xi.coeffs, 1 / sub)
         ss = np.sign(sv)
         changes = np.flatnonzero(ss[:, :-1] * ss[:, 1:] <= 0)
         if changes.size:

@@ -1,5 +1,8 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,3 +24,15 @@ def _draw_affine(rng):
 def draw_affine():
     """The draw (affine pair, p) from a random.Random: slopes in [1.05, 1.95] and p strictly inside [a, b]."""
     return _draw_affine
+
+
+def _run_python(code, *args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """`python -c code *args` in a fresh interpreter on this one's sys.path, output captured as text;
+    keyword arguments go to subprocess.run."""
+    return _run_python

@@ -4,8 +4,6 @@ import importlib
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -603,7 +601,8 @@ _STEPS_200000 = "200000 orbit steps exceed the cap MAX_STEPS = 150000"
 _LAPS_100000 = "100000 lap steps exceed the cap MAX_ITERATES = 1000"
 
 
-def _run_capped(argv):
+@pytest.fixture
+def run_capped(run_python):
     """The CLI on argv in a child whose address space is capped at 512 MB, so that work begun
     before a check fails rather than swaps; a run longer than a second exits 99."""
     import resource
@@ -616,11 +615,7 @@ def _run_capped(argv):
         "start = time.perf_counter(); code = main(sys.argv[1:]); "
         "sys.exit(code if time.perf_counter() - start < 1.0 else 99)"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=10,
-        preexec_fn=cap_memory,
-    )
+    return lambda argv: run_python(code, *argv, timeout=10, preexec_fn=cap_memory)
 
 
 class TestInputErrorsBeforeWork:
@@ -702,10 +697,10 @@ class TestInputErrorsBeforeWork:
         assert (tmp_path / "branches.json").read_text() == branches
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
-    def test_points_past_the_cap_exit_4(self, command):
+    def test_points_past_the_cap_exit_4(self, command, run_capped):
         argv = [command, "--b0", "1.1", "--b1", "1.9", "--p-min", "9/19", "--p-max", "10/11",
                 "--points", "10000000000", "--workers", "1"]
-        result = _run_capped(argv)
+        result = run_capped(argv)
         assert result.returncode == 4
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: 10000000000 grid points exceed the cap MAX_POINTS = 1000000"]
@@ -726,8 +721,8 @@ class TestInputErrorsBeforeWork:
         ],
         ids=["entropy", "kneading", "laps", "entropy-laps", "sweep", "sweep-laps", "compare-spectral", "compare-laps"],
     )
-    def test_order_past_the_cap_exit_4(self, argv, message):
-        result = _run_capped(argv)
+    def test_order_past_the_cap_exit_4(self, argv, message, run_capped):
+        result = run_capped(argv)
         assert result.returncode == 4
         assert result.stdout == ""
         assert result.stderr.splitlines() == [f"error: {message}"]
@@ -848,12 +843,9 @@ class TestLargeNumbers:
 
 
 class TestStartup:
-    def test_scipy_not_imported_with_the_package(self):
+    def test_scipy_not_imported_with_the_package(self, run_python):
         code = "import sys, lorenzmaps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
+        result = run_python(code, check=True)
         assert result.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
@@ -866,7 +858,7 @@ class TestStartup:
         ],
         ids=["import", "laps", "kneading", "laps-exit-2"],
     )
-    def test_exact_commands_load_no_numpy(self, argv, expected_code):
+    def test_exact_commands_load_no_numpy(self, argv, expected_code, run_python):
         # the package and the exact commands leave numpy and the process pool to the commands that use them
         code = (
             "import json, sys, lorenzmaps\n"
@@ -876,13 +868,10 @@ class TestStartup:
             "code = main(argv) if argv else None\n"
             "print(code, 'numpy' in sys.modules, 'concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        result = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env, check=True
-        )
+        result = run_python(code, json.dumps(argv), check=True)
         assert result.stderr.splitlines()[-1].split() == [str(expected_code), "False", "False"]
 
-    def test_feature_sweep_does_not_import_scipy_signal(self, tmp_path):
+    def test_feature_sweep_does_not_import_scipy_signal(self, tmp_path, run_python):
         # confirmation workers fork from the sweep process, so every module it loads is resident in each
         code = (
             "import sys; from lorenzmaps.cli import main; "
@@ -894,26 +883,20 @@ class TestStartup:
             "--points", "40", "--n", "200", "--out", str(tmp_path / "curve.csv"),
             "--features-out", str(tmp_path / "features.json"), "--max-features", "1", "--workers", "1",
         ]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        result = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
-        )
+        result = run_python(code, *argv, check=True)
         assert result.stdout.split() == ["0", "False"]
         # the paper's largest bump lies in this window, and the lap method confirms it
         [feature] = json.loads((tmp_path / "features.json").read_text())
         assert feature["direction"] == "bump"
 
-    def test_sweep_with_no_root_rows_loads_no_scipy(self):
+    def test_sweep_with_no_root_rows_loads_no_scipy(self, run_python):
         # a point whose truncation changes sign nowhere raises NoRootFound without any search beyond the scan
         code = (
             "import sys; from lorenzmaps.cli import main; "
             "code = main(sys.argv[1:]); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        result = subprocess.run(
-            [sys.executable, "-c", code, *NO_ROOT_SWEEP_ARGS], capture_output=True, text=True, env=env, check=True
-        )
+        result = run_python(code, *NO_ROOT_SWEEP_ARGS, check=True)
         assert result.stdout.count(",no-root") == 2
         assert result.stderr.split() == ["0", "[]"]
 

@@ -1,7 +1,6 @@
 import ast
-import os
 import re
-import subprocess
+import shlex
 import sys
 from pathlib import Path
 
@@ -105,15 +104,14 @@ def test_every_exported_name_resolves():
     assert set(lorenzmaps.__all__) <= set(dir(lorenzmaps))
 
 
-def test_unknown_name_raises_attribute_error_and_loads_nothing():
+def test_unknown_name_raises_attribute_error_and_loads_nothing(run_python):
     # a name neither bound nor deferred is rejected before any submodule is imported
     code = (
         "import sys, lorenzmaps\n"
         "print(hasattr(lorenzmaps, 'no_such_name'), 'numpy' in sys.modules)\n"
         "lorenzmaps.no_such_name\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = run_python(code)
     assert result.returncode == 1
     assert result.stdout.split() == ["False", "False"]
     assert result.stderr.splitlines()[-1] == "AttributeError: module 'lorenzmaps' has no attribute 'no_such_name'"
@@ -143,11 +141,38 @@ print("ok")
     ],
     ids=["import-as", "import-module", "cli-sweep", "from-import"],
 )
-def test_package_name_sweep_stays_the_function(first):
+def test_package_name_sweep_stays_the_function(first, run_python):
     # the package resolves its sweep names on first access, and the import system binds each
     # submodule it loads on the package: whichever loads the sweep module first, the name is the function
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run(
-        [sys.executable, "-c", first + "\n" + _SWEEP_BINDING_CHECK], capture_output=True, text=True, env=env
-    )
+    result = run_python(first + "\n" + _SWEEP_BINDING_CHECK)
     assert (result.returncode, result.stdout.strip()) == (0, "ok"), result.stderr
+
+
+def _readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def test_readme_command_lines_parse():
+    # each example command line, continuations joined, is a valid command; none is run
+    from lorenzmaps.cli import build_parser
+
+    lines = "\n".join(_readme_blocks("sh")).replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("lorenzmaps ")]
+    parser = build_parser()
+    commands = []
+    for argv in argvs:
+        try:
+            commands.append(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: lorenzmaps {shlex.join(argv)}")
+    assert sorted(commands) == ["compare", "entropy", "kneading", "laps", "sweep"]
+
+
+def test_readme_quick_tour_names_resolve():
+    import lorenzmaps
+
+    [tour] = _readme_blocks("python")
+    names = [alias.name for node in ast.walk(ast.parse(tour)) if isinstance(node, ast.ImportFrom)
+             and node.module == "lorenzmaps" for alias in node.names]
+    assert names
+    assert [name for name in names if not hasattr(lorenzmaps, name)] == []

@@ -416,7 +416,7 @@ class TestRootEnclosure:
 
 
 def _eval_grid_reference(coeffs, xs):
-    # reference: numpy's polyval, which _eval_grid must match bit for bit
+    # reference: numpy's polyval, which _horner must match bit for bit on an array
     return npoly.polyval(1.0 / xs, np.asarray(coeffs, dtype=float))
 
 
@@ -479,6 +479,46 @@ def _hidden_pair_series(pairs, scale):
 class TestGridKernels:
     """The in-place and batched kernels reproduce the per-call numpy ones bit for bit."""
 
+    @staticmethod
+    def _assert_one_kernel(coeffs, x):
+        # a float x gives its entry of an array grid, sign of zero included, and polyval's
+        # value; == is bit equality but for the sign of zero, which polyval's closing + 0.0
+        # steps turn to +0.0 after an underflow
+        got = xi_eval(XiPolynomial(coeffs), x)
+        grid = spectral._horner(coeffs, 1 / np.array([2.0, x, 1.5]))
+        assert got.hex() == float(grid[1]).hex()
+        assert got == npoly.polyval(1 / x, np.asarray(coeffs, dtype=float))
+        # a Fraction x gives the exact sum
+        t = 1 / F(x)
+        assert xi_eval(XiPolynomial(coeffs), F(x)) == sum(c * t**k for k, c in enumerate(coeffs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=200).map(tuple),
+        st.floats(1.0, 2.0, exclude_min=True),
+    )
+    def test_one_kernel_for_float_fraction_and_grid(self, coeffs, x):
+        self._assert_one_kernel(coeffs, x)
+
+    @pytest.mark.parametrize(
+        "coeffs, value",
+        [((0,) * 1200 + (-1,), -0.0), ((1,) + (0,) * 1200 + (-1,), 1.0)],
+        ids=["underflow-to-minus-zero", "underflow-under-a-one"],
+    )
+    def test_underflow_at_two(self, coeffs, value):
+        # -2^-1200 underflows to -0.0, and no exact zero added after it makes that +0.0
+        self._assert_one_kernel(coeffs, 2.0)
+        assert xi_eval(XiPolynomial(coeffs), 2.0).hex() == value.hex()
+
+    def test_empty_coefficients_give_zero(self):
+        for t in (0.5, F(1, 2)):
+            assert spectral._horner((), t) == 0 and type(spectral._horner((), t)) is type(t)
+        assert np.array_equal(spectral._horner((), np.array([0.5, 0.25])), [0.0, 0.0])
+        # the empty alpha word of a constant beta = 111...: 1/(1 - 1/x) - 0
+        xi = XiPolynomial((1,), PeriodicForm(1, "1", ""))
+        assert xi_eval_periodic(xi, 2.0).hex() == (1 / (1 - 0.5)).hex()
+        assert xi_eval_periodic(xi, F(3, 2)) == 3
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=600))
     def test_eval_grid_matches_polyval(self, coeffs):
@@ -486,7 +526,7 @@ class TestGridKernels:
         xs = np.linspace(2.0, 1.01, 3201)
         cells = np.linspace(xs[:-1:50], xs[1::50], 65, axis=1)
         for grid in (xs, cells):
-            got = spectral._eval_grid(coeffs, grid)
+            got = spectral._horner(coeffs, 1 / grid)
             want = _eval_grid_reference(coeffs, grid)
             assert got.shape == grid.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -528,7 +568,7 @@ class TestGridKernels:
     def test_sweep_csv_unchanged(self, monkeypatch):
         bp = make_affine_pair(F(11, 10), F(19, 10))
         new = csv_text(sweep(bp, F(9, 19), F(10, 11), 40, "spectral"))
-        monkeypatch.setattr(spectral, "_eval_grid", _eval_grid_reference)
+        monkeypatch.setattr(spectral, "_horner", lambda coeffs, t: npoly.polyval(t, np.asarray(coeffs, dtype=float)))
 
         def reference(xi, xs, vals):
             # the scan rows' grid events, in scan order, as the reference takes them
@@ -618,11 +658,11 @@ class TestClearedRule:
             x_top, x_bot = spectral._grid_x(1.01, 2.0, num, np.array([j, j + 1]))
         else:
             x_top, x_bot = min(2.0, x + 2.0**-width_exp), x
-        v_top, v_bot = spectral._eval_grid(xi.coeffs, np.array([x_top, x_bot]))
+        v_top, v_bot = spectral._horner(xi.coeffs, 1 / np.array([x_top, x_bot]))
         if not spectral._cleared(xi, x_top, x_bot, v_top, v_bot):
             return
         sub = np.linspace(x_top, x_bot, 257)
-        assert np.all(np.sign(spectral._eval_grid(xi.coeffs, sub)) == np.sign(v_top))
+        assert np.all(np.sign(spectral._horner(xi.coeffs, 1 / sub)) == np.sign(v_top))
         assert _exact_signs(xi, sub[::64]) == [np.sign(v_top)] * 5
 
     def test_slope_term_keeps_a_hidden_pair(self):
@@ -631,12 +671,12 @@ class TestClearedRule:
         xs = np.linspace(2.0, 1.2, 4001)
         xi = _hidden_pair_series([(1.70321, 1.70329)], 100.0)
         x_top, x_bot = xs[1483], xs[1484]
-        v_top, v_bot = spectral._eval_grid(xi.coeffs, np.array([x_top, x_bot]))
+        v_top, v_bot = spectral._horner(xi.coeffs, 1 / np.array([x_top, x_bot]))
         assert v_top > 0.0 and v_bot > 0.0
         assert not spectral._cleared(xi, x_top, x_bot, v_top, v_bot)
         assert abs(v_top + v_bot) > 4.0 * spectral._horner_error(xi, x_bot) * (1.0 + 2.0**-40)
         sub = np.linspace(x_top, x_bot, 65)
-        assert np.any(spectral._eval_grid(xi.coeffs, sub) < 0.0)
+        assert np.any(spectral._horner(xi.coeffs, 1 / sub) < 0.0)
 
     def test_rounding_term_keeps_a_rounded_root(self):
         # a one-ulp cell around a root of an order-40 kneading series: the exact truncation
@@ -645,7 +685,7 @@ class TestClearedRule:
         bp = make_affine_pair(F(17, 10), F(19, 10))
         xi = xi_coeffs(kneading_prefixes(bp, bp.a + F(5, 8) * (bp.b - bp.a), 40))
         x_top, x_bot = 1.7988974275084766, 1.7988974275084764
-        v_top, v_bot = spectral._eval_grid(xi.coeffs, np.array([x_top, x_bot]))
+        v_top, v_bot = spectral._horner(xi.coeffs, 1 / np.array([x_top, x_bot]))
         assert v_top == v_bot == -(2.0**-52)
         assert _exact_signs(xi, [x_top, x_bot]) == [1.0, -1.0]
         assert not spectral._cleared(xi, x_top, x_bot, v_top, v_bot)

@@ -169,13 +169,7 @@ def _cmd_sweep(args) -> int:
         if args.max_features:
             features = features[: args.max_features]
         if not args.no_confirm:
-            features = cross_confirm_features(
-                bp,
-                records,
-                features,
-                prominence_tol=args.prominence,
-                workers=args.workers,
-            )
+            features = cross_confirm_features(bp, records, features, workers=args.workers)
         _emit([asdict(f) for f in features], args.features_out)
     return 0
 
@@ -234,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--features-out", help="also write detected non-monotone features")
     swp.add_argument("--prominence", type=_above(float, 0), default=1e-5)
-    swp.add_argument("--no-confirm", action="store_true", help="skip cross-method confirmation")
+    swp.add_argument("--no-confirm", action="store_true",
+                     help="write the features unproved: skip their proof by lap enclosures")
     swp.add_argument("--max-features", type=_above(int, -1), default=10,
-                     help="confirm at most this many features, most prominent first (0 = all)")
+                     help="write (and prove) at most this many features, most prominent first (0 = all)")
     swp.set_defaults(func=_cmd_sweep)
 
     comp = subs.add_parser("compare", help="spectral vs lap entropy on a shared grid")

@@ -42,6 +42,54 @@ every step, ``lap_count`` the last.  ``lap_report`` propagates once, keeps
 ln Var at the three steps its windowed estimate reads, and returns the
 estimate with the LapState of T^n: ``laps`` prints both, and
 ``entropy_laps``, which each lap sweep row runs, the estimate.
+
+The lap automaton.  Write L_0 = 0, R_0 = 1, L_j = T^j(p) on the upper
+orbit and R_i = T^i(p) on the lower orbit.  Every class is [L_j, R_i] for
+an index pair (j, i), the one lap of T^0 is (0, 0), and a step sends
+(j, i) to (j+, 1) and (1, i+) when L_j < p < R_i, else to (j+, i+), where
+k+ is 0 for k = 0 and k + 1 otherwise: a fixed end stays, an orbit end
+moves on.  Merging equal images adds multiplicities, so total_laps at step
+n is the number of paths of length n from (0, 0).  ``lap_enclosure``
+bounds their growth with two finite automata of order N, whose states are
+the pairs reachable from (0, 0) with both indices at most N:
+
+- the lower automaton drops every move into an index above N; its paths
+  are some of the laps;
+- the upper automaton widens such an end to the fixed end on its side, L
+  to 0 and R to 1.  A true class then lies inside its state's interval.
+  If the class splits, so does the state, into intervals holding the
+  class's halves; if the class lies left of p (its right end at most p)
+  its image lies in the state's image by f0, or in the state's left half
+  if the state splits, and symmetrically right of p.  So each lap of T^n
+  follows its own path, and total_laps <= paths.
+
+A nonnegative integer matrix A of either automaton and an integer vector
+v give Collatz-Wielandt bounds (Horn-Johnson, Matrix Analysis, ch. 8),
+checked exactly as Fractions: lambda = min over v_s > 0 of (Av)_s / v_s
+has A v >= lambda v, and mu = max over all s of (Av)_s / v_s, for v > 0,
+has A v <= mu v.  Every state is reachable from (0, 0), so if (0, 0)
+reaches a state s with v_s = max v in k steps, the paths of length k + n
+from (0, 0) number at least (A^n v)_s / v_s >= lambda^n; and they number
+at most (A^n v)_(0,0) / min v <= mu^n v_(0,0) / min v.  Hence the growth
+rate g of total_laps has lambda <= g <= mu.  The proof obligations that
+tie g to the entropy:
+
+- e^h <= g: the lap number l(T^n) is submultiplicative, so by Fekete's
+  lemma h = lim (1/n) ln l(T^n) = inf (1/n) ln l(T^n) (Misiurewicz-Szlenk
+  1980; Misiurewicz-Ziemian 1992 for piecewise continuous maps), and
+  total_laps >= l(T^n) since it also splits at every preimage of p;
+- g <= e^h: the pieces total_laps counts are those of the partition
+  {[0, p), [p, 1]} pulled back along n steps, each with its own n-letter
+  itinerary, so total_laps counts the n-words of the itinerary shift.
+  T expands, so a whole itinerary pins down its point and the shift
+  covers T with fibres of at most two points (the two sides of a preimage
+  of p); a finite-to-one factor map keeps the entropy (Bowen 1971), so
+  the shift's word growth is e^h (Hubbard-Sparrow 1990).
+
+A damped power iteration in binary64 only proposes v; the bounds hold for
+whatever v it proposes, and only their width depends on it.  Both
+automata read the orbits of p through ``LorenzMap.apply``, not the
+kneading walk, so the two estimators share no orbit code.
 """
 
 from __future__ import annotations
@@ -110,6 +158,101 @@ def _propagate(m: LorenzMap, n: int):
                 new[img] = new.get(img, 0) + mult
         classes = new
         yield LapState(step, tuple(classes.items()))
+
+
+#: the power iteration stops once the ratios (Av)_s / v_s of the states it keeps agree to this
+#: relative spread, or after POWER_STEPS_MAX steps; it proposes v only, so neither bounds a proof
+POWER_SPREAD = 1e-10
+POWER_STEPS_MAX = 5000
+#: a lower-bound vector keeps the states whose entry, relative to the largest, exceeds this
+_KEPT = 2.0**-40
+
+
+def lap_enclosure(m: LorenzMap, N: int) -> tuple:
+    """(lambda, mu) as Fractions with lambda <= e^h <= mu, from the lap automata of order N.
+
+    Proved as the module docstring states; the same for the upper and the
+    lower map of (m.branches, m.p).  An N past MAX_ITERATES raises
+    ResourceLimit before any step.
+    """
+    _check_iterates(N)
+    p = m.p
+    up, down = (LorenzMap(m.branches, p, side).apply for side in (UPPER, LOWER))
+    # the split test reads L_j < p and R_i > p; L_0 = 0 and R_0 = 1 pass both
+    below, above = [True], [True]
+    left = right = p
+    for _ in range(N):
+        left, right = up(left), down(right)
+        below.append(left < p)
+        above.append(right > p)
+    lower = _rate_bound(_automaton(below, above, widen=False), lower=True)
+    upper = _rate_bound(_automaton(below, above, widen=True), lower=False)
+    # h >= 0 for every map, so 1 bounds e^h from below whatever vector the iteration proposed
+    return max(lower, Fraction(1)), upper
+
+
+def _automaton(below: list, above: list, widen: bool) -> list:
+    """Each state's children, as state numbers, in the order-N lap automaton, N = len(below) - 1.
+
+    States are numbered as a breadth-first walk from (0, 0) meets them, so
+    every state is reachable from (0, 0).  A move into an index above N
+    widens that end to index 0 if ``widen``, else is dropped.
+    """
+    order = len(below) - 1
+    number = {(0, 0): 0}
+    states, children = [(0, 0)], []
+    for j, i in states:  # the walk appends the states it meets as it goes
+        j1, i1 = j and j + 1, i and i + 1  # a fixed end (index 0) stays, an orbit end moves on
+        moves = ((j1, 1), (1, i1)) if below[j] and above[i] else ((j1, i1),)
+        kids = []
+        for move in moves:
+            if max(move) > order:
+                if not widen:
+                    continue
+                move = tuple(k if k <= order else 0 for k in move)
+            if move not in number:
+                number[move] = len(states)
+                states.append(move)
+            kids.append(number[move])
+        children.append(kids)
+    return children
+
+
+def _rate_bound(children: list, lower: bool) -> Fraction:
+    """The Collatz-Wielandt bound on the automaton's spectral radius: lambda if ``lower``, else mu.
+
+    A binary64 power iteration of A + I proposes v; it is scaled to
+    integers (kept entries only if ``lower``, every entry at least 1
+    otherwise) and the bound is the exact extreme ratio (Av)_s / v_s.
+    """
+    # the one numpy user besides the grid oracle: importing the lap estimator loads no numpy
+    import numpy as np
+
+    size = len(children)
+    # a missing child reads the extra entry, which stays 0
+    first = np.array([kids[0] if kids else size for kids in children] + [size])
+    second = np.array([kids[1] if len(kids) == 2 else size for kids in children] + [size])
+    v = np.ones(size + 1)
+    v[size] = 0.0
+    for _ in range(POWER_STEPS_MAX // 25):
+        for _ in range(25):  # entries grow at most 3^25-fold between rescalings
+            v += v[first] + v[second]  # A + I: the damping keeps a periodic automaton from oscillating
+        v /= v.max()
+        kept = v > _KEPT
+        ratios = (v[first] + v[second])[kept] / v[kept]
+        if ratios.max() - ratios.min() <= POWER_SPREAD * ratios.min():
+            break
+    v = v[:size].tolist()
+    if lower:
+        ints = [int(math.ldexp(x, 92)) if x > _KEPT else 0 for x in v]  # a kept entry gets 53 bits
+    else:
+        # every entry gets 53 significant bits, the smallest one included
+        shift = 53 - math.frexp(min(x for x in v if x > 0))[1]
+        ints = [max(int(math.ldexp(x, shift)), 1) for x in v]
+    pairs = [(sum(ints[c] for c in kids), ints[s]) for s, kids in enumerate(children) if ints[s]]
+    # ratios compared by cross multiplication, so only the extreme one becomes a Fraction
+    by_ratio = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    return Fraction(*(min if lower else max)(pairs, key=by_ratio))
 
 
 def lap_states(m: LorenzMap, n: int) -> list:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 
@@ -38,9 +39,9 @@ from .errors import (
     ResourceLimit,
 )
 from .estimates import LAPS, SPECTRAL, EntropyEstimate
-from .laps import entropy_laps, lap_parameters
+from .laps import MAX_ITERATES, entropy_laps, lap_enclosure, lap_parameters
 from .maps import UPPER, BranchPair, LorenzMap, _coerce, fmt_number
-from .spectral import DEFAULT_TOL, entropy_spectral, spectral_parameters
+from .spectral import entropy_spectral, spectral_parameters
 
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no-root"
@@ -50,8 +51,10 @@ BUMP = "bump"
 
 CSV_FIELDS = ("p", "entropy", "gamma", "method", "order", "error_bound", "status")
 
-#: grid points added on each side of a feature for its confirmation
-CONFIRM_PAD = 3
+#: a feature's proof starts each lap enclosure at this automaton order and doubles it until the
+#: enclosure's ln-width is at most ENCLOSURE_LN_WIDTH, or the order reaches MAX_ITERATES
+ENCLOSURE_START = 40
+ENCLOSURE_LN_WIDTH = 1e-7
 #: a sweep grid of more points raises ResourceLimit before any point is built; a serial
 #: 2000-point spectral sweep of (1.1, 1.9) held 410 B per record, so 0.4 GB at this cap (2-core x86)
 MAX_POINTS = 10**6
@@ -79,12 +82,21 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class NonMonotoneFeature:
-    """A dip or bump of the entropy curve: its p range and its depth."""
+    """A dip or bump of the entropy curve: its p range, its depth, and the grid p of its peak and bases.
+
+    The bases are the lowest points on each side of the peak (for a dip,
+    the highest), as ``_peaks`` finds them.  ``proved`` is True once
+    ``cross_confirm_features`` has proved the feature.
+    """
 
     p_low: float
     p_high: float
     prominence: float
     direction: str
+    p_peak: float
+    p_left_base: float
+    p_right_base: float
+    proved: bool = False
 
 
 def _grid(bp: BranchPair, p_min, p_max, points: int) -> list:
@@ -192,13 +204,11 @@ def sweep(
 
 def _ok_arrays(records):
     ok = [r for r in records if r.status == STATUS_OK]
-    ps = np.array([float(r.p) for r in ok])
-    hs = np.array([r.estimate.entropy for r in ok])
-    return ok, ps, hs
+    return np.array([float(r.p) for r in ok]), np.array([r.estimate.entropy for r in ok])
 
 
 def _peaks(x: list, tol: float) -> list:
-    """(peak, prominence, left_ip, right_ip) of every peak of ``x`` with prominence >= tol.
+    """(peak, prominence, left_base, right_base, left_ip, right_ip) of every peak of ``x`` with prominence >= tol.
 
     The rule, and every float operation in its order, of
     ``scipy.signal.find_peaks(x, prominence=tol, width=0, rel_height=1.0)``,
@@ -206,7 +216,8 @@ def _peaks(x: list, tol: float) -> list:
     a strict fall; a plateau counts once, at its middle (rounded down), and
     the end points never count.  Its prominence is its height above the
     higher of the two lowest values reached walking each way while no value
-    exceeds it.  Its edges are where the curve crosses the contour at the
+    exceeds it, and its bases are where they are reached, nearest the peak on
+    ties.  Its edges are where the curve crosses the contour at the
     full prominence below it, interpolated between samples.  Peaks come in
     index order.
     """
@@ -225,7 +236,7 @@ def _peaks(x: list, tol: float) -> list:
 
 
 def _prominent_peak(x: list, peak: int, tol: float):
-    """(peak, prominence, left_ip, right_ip) of the peak at ``peak``, or None below tol."""
+    """(peak, prominence, left_base, right_base, left_ip, right_ip) of the peak at ``peak``, or None below tol."""
     top = x[peak]
     bases = []  # (index, value) of the lowest point on each side, nearest the peak on ties
     for step in (-1, 1):
@@ -249,7 +260,7 @@ def _prominent_peak(x: list, peak: int, tol: float):
         if x[i] < height:  # interpolate toward the peak: the left edge moves right, the right one left
             edge -= step * (height - x[i]) / (x[i - step] - x[i])
         edges.append(edge)
-    return peak, prominence, *edges
+    return peak, prominence, left_base, right_base, *edges
 
 
 def detect_nonmonotonic(records, prominence_tol: float) -> list:
@@ -258,21 +269,25 @@ def detect_nonmonotonic(records, prominence_tol: float) -> list:
     Returns features sorted by prominence, largest first; empty when the
     curve is monotone at the requested resolution.  A bump is a peak of the
     curve and a dip a peak of its negation (``_peaks``); a feature spans
-    the peak's full-prominence edges, mapped from index to p linearly.
+    the peak's full-prominence edges, mapped from index to p linearly, and
+    names the p of its peak and bases.
     """
     if not prominence_tol > 0:
         raise DomainError("prominence tolerance must be positive")
-    _, ps, hs = _ok_arrays(records)
+    ps, hs = _ok_arrays(records)
     idx_axis = np.arange(len(ps))
     features = []
     for sign, direction in ((1.0, BUMP), (-1.0, DIP)):
-        for _, prominence, left, right in _peaks((sign * hs).tolist(), prominence_tol):
+        for peak, prominence, left_base, right_base, left, right in _peaks((sign * hs).tolist(), prominence_tol):
             features.append(
                 NonMonotoneFeature(
                     p_low=float(np.interp(left, idx_axis, ps)),
                     p_high=float(np.interp(right, idx_axis, ps)),
                     prominence=prominence,
                     direction=direction,
+                    p_peak=float(ps[peak]),
+                    p_left_base=float(ps[left_base]),
+                    p_right_base=float(ps[right_base]),
                 )
             )
     features.sort(key=lambda f: (-f.prominence, f.p_low))
@@ -281,7 +296,7 @@ def detect_nonmonotonic(records, prominence_tol: float) -> list:
 
 def continuity_modulus(records):
     """(largest |entropy step| between adjacent records, p midpoint where it occurs)."""
-    _, ps, hs = _ok_arrays(records)
+    ps, hs = _ok_arrays(records)
     if len(ps) < 2:
         raise InsufficientData("need at least two successful records")
     jumps = np.abs(np.diff(hs))
@@ -310,54 +325,44 @@ def compare_methods(records_a, records_b):
     return float(diffs[i]), float(diffs.mean()), float(ps[i])
 
 
-def _max_error(records):
-    return max((r.estimate.error_bound for r in records if r.status == STATUS_OK), default=0.0)
+def _proved_enclosure(bp: BranchPair, p) -> tuple:
+    """lap_enclosure at p; its order starts at ENCLOSURE_START and doubles until ENCLOSURE_LN_WIDTH or MAX_ITERATES."""
+    m = LorenzMap(bp, p, UPPER)
+    order = ENCLOSURE_START
+    while True:
+        low, high = lap_enclosure(m, order)
+        if math.log(high / low) <= ENCLOSURE_LN_WIDTH or order == MAX_ITERATES:
+            return low, high
+        order = min(2 * order, MAX_ITERATES)
 
 
-def cross_confirm_features(
-    bp: BranchPair, records, features, *, prominence_tol: float, workers: int | None = None
-) -> list:
-    """Keep only features the other method reproduces on the feature's own sub-grid.
+def cross_confirm_features(bp: BranchPair, records, features, *, workers: int | None = None) -> list:
+    """The features that lap enclosures prove, each with ``proved`` set, in input order.
 
-    The other method is the one the records' estimates did not use.  For
-    each candidate, it is run on the sweep's p values covering the feature
-    (padded by ``CONFIRM_PAD`` grid points) and must show a same-direction
-    feature overlapping in p whose prominence matches within 2 (e_s + e_l),
-    with e_s and e_l each method's largest error bound over the span: a
-    prominence is the difference of two curve values, each off by up to
-    its method's bound.  Detection on the other curve goes that far below
-    ``prominence_tol``, so it admits every prominence the match accepts.
-    Its record is its sweep's record at the same exact grid point, so the
-    union of all sub-grids is evaluated once, each p a single time, on
-    ``workers`` processes as in ``sweep``: the calling one and
-    ``workers`` - 1 forked ones.
+    A dip is proved when the enclosure of e^h at its peak lies strictly
+    below the enclosures at both its bases, and a bump when it lies
+    strictly above them; so h(p) is proved to fall and rise again (or rise
+    and fall) across the feature, whatever method drew the curve.  The
+    features must come from ``detect_nonmonotonic(records, ...)``: each p
+    they name is one of the records' grid points, and its enclosure
+    (``laps.lap_enclosure``, at the exact grid point) is computed once for
+    all features, on ``workers`` processes as in ``sweep``: the calling one
+    and ``workers`` - 1 forked ones.
     """
-    ok, ps, _ = _ok_arrays(records)
-    if len(ps) < 3 or not features:
+    if not features:
         return []
-    other = SPECTRAL if ok[0].estimate.method == LAPS else LAPS
-    spans = []
-    for feat in features:
-        i_lo = max(0, int(np.searchsorted(ps, feat.p_low)) - CONFIRM_PAD)
-        i_hi = min(len(ps) - 1, int(np.searchsorted(ps, feat.p_high)) + CONFIRM_PAD)
-        spans.append((feat, i_lo, i_hi))
-    union = sorted({i for _, i_lo, i_hi in spans for i in range(i_lo, i_hi + 1)})
-    point = partial(_sweep_point, bp, other, None, None, None)
-    other_at = dict(zip(union, _run_points(point, [ok[i].p for i in union], workers)))
+    exact = {float(r.p): r.p for r in records}
+    named = sorted({p for f in features for p in (f.p_peak, f.p_left_base, f.p_right_base)})
+    enclosure = dict(zip(named, _run_points(partial(_proved_enclosure, bp), [exact[p] for p in named], workers)))
     confirmed = []
-    for feat, i_lo, i_hi in spans:
-        other_records = [other_at[i] for i in range(i_lo, i_hi + 1)]
-        err = 2.0 * (_max_error(ok[i_lo : i_hi + 1]) + _max_error(other_records))
-        floor = max(prominence_tol - err, 16 * DEFAULT_TOL)
-        for other_feat in detect_nonmonotonic(other_records, floor):
-            if (
-                other_feat.direction == feat.direction
-                and other_feat.p_low <= feat.p_high
-                and feat.p_low <= other_feat.p_high
-                and abs(other_feat.prominence - feat.prominence) <= err
-            ):
-                confirmed.append(feat)
-                break
+    for feat in features:
+        (peak_low, peak_high), *bases = (enclosure[p] for p in (feat.p_peak, feat.p_left_base, feat.p_right_base))
+        if feat.direction == DIP:
+            proved = all(peak_high < base_low for base_low, _ in bases)
+        else:
+            proved = all(peak_low > base_high for _, base_high in bases)
+        if proved:
+            confirmed.append(replace(feat, proved=True))
     return confirmed
 
 

@@ -293,8 +293,10 @@ class TestSweepCommand:
         )
         assert code == 0
         confirmed = json.loads(feats.read_text())
-        assert confirmed and all(f["prominence"] >= 1e-5 for f in confirmed)
-        assert list(confirmed[0]) == ["p_low", "p_high", "prominence", "direction"]
+        assert confirmed and all(f["prominence"] >= 1e-5 and f["proved"] is True for f in confirmed)
+        assert list(confirmed[0]) == [
+            "p_low", "p_high", "prominence", "direction", "p_peak", "p_left_base", "p_right_base", "proved",
+        ]
 
     def test_features_out(self, capsys, tmp_path):
         feats = tmp_path / "features.json"
@@ -334,6 +336,7 @@ class TestSweepCommand:
             text = feats.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text)) + "\n"
             counts[limit] = len(json.loads(text))
+            assert not any(f["proved"] for f in json.loads(text))
         assert counts == {"0": 2, "1": 1}
 
     @pytest.mark.parametrize(
@@ -885,7 +888,7 @@ class TestStartup:
         ]
         result = run_python(code, *argv, check=True)
         assert result.stdout.split() == ["0", "False"]
-        # the paper's largest bump lies in this window, and the lap method confirms it
+        # the paper's largest bump lies in this window, and lap enclosures prove it
         [feature] = json.loads((tmp_path / "features.json").read_text())
         assert feature["direction"] == "bump"
 

@@ -18,6 +18,7 @@ from lorenzmaps import (
     LapState,
     LorenzMap,
     NoRootFound,
+    ResourceLimit,
     entropy_laps,
     kneading_prefixes,
     lap_count,
@@ -442,3 +443,95 @@ class TestLapUpperBound:
             return
         for state in lap_states(m, 50):
             assert math.log(x_lo) <= math.log(state.total_laps) / state.step
+
+
+def _paths_from_start(children, n):
+    # paths of length n from state 0, (0, 0), counted by dynamic programming over the children lists
+    counts = [1] * len(children)
+    for _ in range(n):
+        counts = [sum(counts[c] for c in kids) for kids in children]
+    return counts[0]
+
+
+def _split_tests(m, order):
+    # (L_j < p, R_i > p) for 0 <= i, j <= order, from orbits walked by branch calls alone
+    upper, lower = _one_sided_orbit(m, UPPER, order), _one_sided_orbit(m, LOWER, order)
+    return [True] + [x < m.p for x in upper], [True] + [x > m.p for x in lower]
+
+
+def _ln_fraction(x):
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+class TestLapEnclosure:
+    """lap_enclosure(m, N) = (lambda, mu) proves lambda <= e^h <= mu, as the laps module docstring states."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_random_map(), st.sampled_from([UPPER, LOWER]), st.sampled_from([20, 60]))
+    def test_meets_every_certified_spectral_enclosure(self, m, side, order):
+        n = spectral.DEFAULT_ORDER
+        xi = spectral.xi_coeffs(kneading_prefixes(m.branches, m.p, n))
+        lo = max((1.0 + float(m.branches.c_min)) / 2.0, math.nextafter(1.0, 2.0))
+        try:
+            root = spectral.max_root(xi, lo, 2.0, spectral.DEFAULT_TOL)
+        except NoRootFound:
+            return
+        x_lo, x_hi, certified = spectral._uncertainty_interval(xi, root, lo, 2.0)
+        if not certified:
+            return
+        low, high = laps.lap_enclosure(LorenzMap(m.branches, m.p, side), order)
+        assert type(low) is type(high) is F
+        assert low <= F(x_hi) and F(x_lo) <= high
+
+    @pytest.mark.parametrize(
+        "b, where",
+        [(b, where) for b in (F(6, 5), F(3, 2), F(9, 5)) for where in ("a", "b", "interior")] + [(F(3, 2), F(3, 5))],
+        ids=lambda v: str(v),
+    )
+    def test_uniform_slope_is_enclosed(self, b, where):
+        # at p = a, at p = b, inside, and at p = 3/5, which has period 2 under uniform 3/2
+        bp = make_uniform_pair(b)
+        p = {"a": bp.a, "b": bp.b, "interior": (2 * bp.a + bp.b) / 3}.get(where, where)
+        for order in (10, 40, 160):
+            low, high = laps.lap_enclosure(LorenzMap(bp, p), order)
+            assert low <= b <= high
+        assert _ln_fraction(high) - _ln_fraction(low) <= 1e-7
+
+    @settings(max_examples=30, deadline=None)
+    @given(_random_map(), st.sampled_from([5, 40]))
+    def test_upper_and_lower_map_agree(self, m, order):
+        assert laps.lap_enclosure(m, order) == laps.lap_enclosure(LorenzMap(m.branches, m.p, LOWER), order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_random_map(), st.sampled_from([UPPER, LOWER]), st.integers(1, 8))
+    def test_paths_count_the_laps(self, m, side, order):
+        # up to step N both automata are the true one; past it the lower has fewer paths, the upper more
+        m = LorenzMap(m.branches, m.p, side)
+        below, above = _split_tests(m, order)
+        lower, upper = (laps._automaton(below, above, widen=widen) for widen in (False, True))
+        for state in lap_states(m, 3 * order):
+            paths = [_paths_from_start(kids, state.step) for kids in (lower, upper)]
+            if state.step <= order:
+                assert paths == [state.total_laps] * 2
+            else:
+                assert paths[0] <= state.total_laps <= paths[1]
+
+    @_EXPLICIT_MAPS
+    def test_paths_count_the_laps_at_the_edge_cases(self, m):
+        order = 6
+        below, above = _split_tests(m, order)
+        lower, upper = (laps._automaton(below, above, widen=widen) for widen in (False, True))
+        for state in lap_states(m, 30):
+            assert _paths_from_start(lower, state.step) <= state.total_laps <= _paths_from_start(upper, state.step)
+
+    @pytest.mark.parametrize("p", [F(51, 100), F(3, 5), F(7, 10)])
+    def test_paper_points_within_1e_7_at_order_160(self, p):
+        low, high = laps.lap_enclosure(LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), p), 160)
+        assert 0 < _ln_fraction(high) - _ln_fraction(low) <= 1e-7
+
+    def test_order_checked_before_any_step(self):
+        m = LorenzMap(make_uniform_pair(F(3, 2)), F(1, 2))
+        with pytest.raises(DomainError):
+            laps.lap_enclosure(m, 0)
+        with pytest.raises(ResourceLimit):
+            laps.lap_enclosure(m, laps.MAX_ITERATES + 1)

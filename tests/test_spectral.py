@@ -415,7 +415,7 @@ class TestRootEnclosure:
         assert [i for i, (coeffs, x_lo, _) in enumerate(ends) if _root_proved(coeffs, x_lo, x_lo)] == []
 
 
-def _eval_grid_reference(coeffs, xs):
+def _horner_reference(coeffs, xs):
     # reference: numpy's polyval, which _horner must match bit for bit on an array
     return npoly.polyval(1.0 / xs, np.asarray(coeffs, dtype=float))
 
@@ -432,7 +432,7 @@ def _first_crossing_reference(xi, xs, vals, events):
     small = np.minimum(np.abs(vtops), np.abs(vbottoms)) <= step * lip
     for j in np.nonzero(small[:first])[0]:
         sub = np.linspace(tops[j], bottoms[j], 65)
-        sv = _eval_grid_reference(xi.coeffs, sub)
+        sv = _horner_reference(xi.coeffs, sub)
         ss = np.sign(sv)
         ev = np.nonzero(ss[:-1] * ss[1:] <= 0)[0]
         if ev.size:
@@ -453,7 +453,7 @@ class _FloatSeries:
 
 
 def _scan(xi, xs):
-    vals = _eval_grid_reference(xi.coeffs, xs)
+    vals = _horner_reference(xi.coeffs, xs)
     sgn = np.sign(vals)
     return vals, np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]
 
@@ -521,13 +521,13 @@ class TestGridKernels:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=600))
-    def test_eval_grid_matches_polyval(self, coeffs):
+    def test_horner_matches_polyval(self, coeffs):
         coeffs = tuple(coeffs)
         xs = np.linspace(2.0, 1.01, 3201)
         cells = np.linspace(xs[:-1:50], xs[1::50], 65, axis=1)
         for grid in (xs, cells):
             got = spectral._horner(coeffs, 1 / grid)
-            want = _eval_grid_reference(coeffs, grid)
+            want = _horner_reference(coeffs, grid)
             assert got.shape == grid.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

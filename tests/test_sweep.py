@@ -358,15 +358,15 @@ class TestDetectNonmonotonic:
         recs = [ok_record(p, h) if k < ok else SweepRecord(p, None) for k, (p, h) in enumerate(zip(ps, hs))]
         assert detect_nonmonotonic(recs, 0.01) == []
         bp = make_affine_pair(F(11, 10), F(19, 10))
-        feature = sweep_module.NonMonotoneFeature(0.1, 0.3, 0.1, DIP)
-        assert cross_confirm_features(bp, recs, [feature], prominence_tol=0.01) == []
+        assert cross_confirm_features(bp, recs, detect_nonmonotonic(recs, 0.01)) == []
 
 
 def _scipy_peaks(x, tol):
     from scipy.signal import find_peaks
 
     peaks, props = find_peaks(np.array(x, dtype=float), prominence=tol, width=0, rel_height=1.0)
-    return list(zip(peaks.tolist(), *(props[key].tolist() for key in ("prominences", "left_ips", "right_ips"))))
+    keys = ("prominences", "left_bases", "right_bases", "left_ips", "right_ips")
+    return list(zip(peaks.tolist(), *(props[key].tolist() for key in keys)))
 
 
 def _bits(peaks):
@@ -396,16 +396,19 @@ class TestPeakRule:
         assert _bits(peaks(x, tol)) == _bits(_scipy_peaks(x, tol))
 
 
+def _paper_features(points):
+    bp = make_affine_pair(F(11, 10), F(19, 10))
+    records = sweep(bp, F(9, 19), F(10, 11), points, "spectral")
+    return bp, records, detect_nonmonotonic(records, 1e-5)
+
+
 class TestCrossConfirm:
     def test_overlapping_features_workers_independent(self, monkeypatch):
         # 60 points of the paper pair give a bump and a dip sharing grid points
-        bp = make_affine_pair(F(11, 10), F(19, 10))
-        records = sweep(bp, F(9, 19), F(10, 11), 60, "spectral")
-        features = detect_nonmonotonic(records, 1e-5)
+        bp, records, features = _paper_features(60)
         assert any(
             f.p_low <= g.p_high and g.p_low <= f.p_high for f in features for g in features if f != g
         )
-        sweep_module = sys.modules["lorenzmaps.sweep"]
         run_points = sweep_module._run_points
         batches = []
 
@@ -414,63 +417,85 @@ class TestCrossConfirm:
             return run_points(fn, ps, workers)
 
         monkeypatch.setattr(sweep_module, "_run_points", recording)
-        serial = cross_confirm_features(bp, records, features, prominence_tol=1e-5)
-        parallel = cross_confirm_features(bp, records, features, prominence_tol=1e-5, workers=2)
+        serial = cross_confirm_features(bp, records, features)
+        parallel = cross_confirm_features(bp, records, features, workers=2)
         assert serial == parallel
-        assert len(serial) >= 1
-        # one batch per call, each p evaluated once, at the exact grid point of the lap sweep
+        assert serial == [dataclasses.replace(f, proved=True) for f in features]
+        # one batch per call, each peak and base evaluated once, at the exact grid point of the sweep
         assert len(batches) == 2
-        assert batches[0] == sorted(set(batches[0]))
-        grid = set(sweep_module._grid(bp, F(9, 19), F(10, 11), 60))
-        assert all(p in grid for p in batches[0])
+        named = {p for f in features for p in (f.p_peak, f.p_left_base, f.p_right_base)}
+        assert batches[0] == sorted(r.p for r in records if float(r.p) in named)
 
-    def test_a_lap_sweep_is_confirmed_by_the_spectral_method(self, monkeypatch):
-        # a dip of 0.01 in a lap curve: the spectral method, not the lap method, must reproduce it
-        sweep_module = sys.modules["lorenzmaps.sweep"]
+    def test_a_lap_sweep_is_proved_as_a_spectral_one(self, monkeypatch):
+        # features of a lap curve are proved by lap enclosures too; neither estimator runs again
+        bp = make_affine_pair(F(11, 10), F(19, 10))
+        records = sweep(bp, F(82, 100), F(84, 100), 12, "laps")
+        features = detect_nonmonotonic(records, 1e-5)
+        assert {f.direction for f in features} == {BUMP, DIP}
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(sweep_module, "entropy_laps", no_estimate)
+        monkeypatch.setattr(sweep_module, "entropy_spectral", no_estimate)
+        assert cross_confirm_features(bp, records, features) == [
+            dataclasses.replace(f, proved=True) for f in features
+        ]
+
+    def test_an_unproved_feature_is_dropped(self):
+        # a dip of 0.01 drawn into the rising paper curve: the enclosures show h rising there
         bp = make_affine_pair(F(11, 10), F(19, 10))
         grid = sweep_module._grid(bp, F(1, 2), F(4, 5), 30)
-        dip = [0.19 if i == 15 else 0.2 for i in range(30)]
-        records = [SweepRecord(p, EntropyEstimate(h, math.exp(h), "laps", 50, 1e-9, False))
-                   for p, h in zip(grid, dip)]
-        features = detect_nonmonotonic(records, 1e-5)
-        assert [f.direction for f in features] == [DIP]
+        records = [ok_record(p, 0.19 if i == 15 else 0.2) for i, p in enumerate(grid)]
+        [feature] = detect_nonmonotonic(records, 1e-5)
+        assert feature.direction == DIP
+        assert [feature.p_left_base, feature.p_peak, feature.p_right_base] == [float(p) for p in grid[14:17]]
+        assert cross_confirm_features(bp, records, [feature]) == []
 
-        def no_laps(*args, **kwargs):
-            raise AssertionError("the lap estimator ran")
+    @pytest.mark.parametrize("gap, proved", [(F(0), False), (F(1, 10**40), True)], ids=["touching", "apart"])
+    def test_widening_one_enclosure_unconfirms_its_feature(self, monkeypatch, gap, proved):
+        # lowering the bump's lambda at its peak to mu at its right base, and no further, un-proves it
+        bp, records, features = _paper_features(60)
+        bump = next(f for f in features if f.direction == BUMP)
+        exact = {float(r.p): r.p for r in records}
+        enclosure = sweep_module._proved_enclosure
+        top = enclosure(bp, exact[bump.p_right_base])[1] + gap
+        assert top < enclosure(bp, exact[bump.p_peak])[0]  # so (top, high) widens the peak's enclosure
 
-        spectral_points = []
-        spectral = sweep_module.entropy_spectral
-        monkeypatch.setattr(sweep_module, "entropy_laps", no_laps)
-        monkeypatch.setattr(
-            sweep_module, "entropy_spectral", lambda bp, p, n, tol: spectral_points.append(p) or spectral(bp, p, n, tol)
-        )
-        assert cross_confirm_features(bp, records, features, prominence_tol=1e-5) == []
-        assert spectral_points == grid[11:20]
+        def widened(bp, p):
+            low, high = enclosure(bp, p)
+            return (top, high) if p == exact[bump.p_peak] else (low, high)
+
+        monkeypatch.setattr(sweep_module, "_proved_enclosure", widened)
+        assert (dataclasses.replace(bump, proved=True) in cross_confirm_features(bp, records, features)) == proved
 
 
-    @pytest.mark.parametrize("gap, confirmed", [(1.5, True), (2.5, False)])
-    def test_prominences_match_within_twice_the_error_bounds(self, monkeypatch, gap, confirmed):
-        # a prominence is the difference of two curve values, each off by up to its method's
-        # bound, so honest prominences may differ by 2 (e_l + e_s) and no more
-        sweep_module = sys.modules["lorenzmaps.sweep"]
+class TestProofRule:
+    """A dip is proved when mu at its peak lies strictly below lambda at both bases; a bump is the reverse."""
+
+    GRID = (F(1, 2), F(3, 5), F(7, 10))
+
+    @pytest.mark.parametrize(
+        "direction, enclosures, proved",
+        [
+            (DIP, [(5, 6), (3, 4), (5, 6)], True),
+            (DIP, [(4, 6), (3, 4), (5, 6)], False),  # touches the left base
+            (DIP, [(5, 6), (3, 4), (3, 6)], False),  # overlaps the right base
+            (BUMP, [(3, 4), (5, 6), (3, 4)], True),
+            (BUMP, [(3, 4), (4, 6), (3, 4)], False),  # touches both bases
+            (BUMP, [(3, 4), (5, 6), (3, 7)], False),
+        ],
+    )
+    def test_three_enclosures_decide(self, monkeypatch, direction, enclosures, proved):
+        sign = -1 if direction == DIP else 1
+        records = [ok_record(p, 0.5 + sign * 0.1 * (k == 1)) for k, p in enumerate(self.GRID)]
+        [feature] = detect_nonmonotonic(records, 0.01)
+        assert feature.direction == direction
+        table = {p: (F(lo), F(hi)) for p, (lo, hi) in zip(self.GRID, enclosures)}
+        monkeypatch.setattr(sweep_module, "_proved_enclosure", lambda bp, p: table[p])
         bp = make_affine_pair(F(11, 10), F(19, 10))
-        grid = sweep_module._grid(bp, F(1, 2), F(4, 5), 30)
-        e_l = e_s = 1e-4
-
-        def dip(depth):
-            return {p: 0.2 - depth if i == 15 else 0.2 for i, p in enumerate(grid)}
-
-        laps_h, spectral_h = dip(0.01), dip(0.01 + gap * (e_l + e_s))
-        records = [SweepRecord(p, EntropyEstimate(laps_h[p], math.exp(laps_h[p]), "laps", 50, e_l, False))
-                   for p in grid]
-        features = detect_nonmonotonic(records, 1e-5)
-        assert [f.direction for f in features] == [DIP]
-        monkeypatch.setattr(
-            sweep_module,
-            "entropy_spectral",
-            lambda bp, p, n, tol: EntropyEstimate(spectral_h[p], math.exp(spectral_h[p]), "spectral", n, e_s, True),
-        )
-        assert cross_confirm_features(bp, records, features, prominence_tol=1e-5) == (features if confirmed else [])
+        expected = [dataclasses.replace(feature, proved=True)] if proved else []
+        assert cross_confirm_features(bp, records, [feature]) == expected
 
 
 class TestContinuityModulus:

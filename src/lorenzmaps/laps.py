@@ -89,7 +89,10 @@ tie g to the entropy:
 A damped power iteration in binary64 only proposes v; the bounds hold for
 whatever v it proposes, and only their width depends on it.  Both
 automata read the orbits of p through ``LorenzMap.apply``, not the
-kneading walk, so the two estimators share no orbit code.
+kneading walk, so the two estimators share no orbit code.  A proof's
+enclosure (``_proved_enclosure``, which ``sweep.cross_confirm_features``
+runs) starts at order ENCLOSURE_START and doubles it until ln(mu / lambda)
+is at most ENCLOSURE_LN_WIDTH, or the order reaches MAX_ITERATES.
 """
 
 from __future__ import annotations
@@ -166,6 +169,9 @@ POWER_SPREAD = 1e-10
 POWER_STEPS_MAX = 5000
 #: a lower-bound vector keeps the states whose entry, relative to the largest, exceeds this
 _KEPT = 2.0**-40
+#: a proof's enclosure starts at this order and stops doubling it at this ln-width (module docstring)
+ENCLOSURE_START = 40
+ENCLOSURE_LN_WIDTH = 1e-7
 
 
 def lap_enclosure(m: LorenzMap, N: int) -> tuple:
@@ -189,6 +195,16 @@ def lap_enclosure(m: LorenzMap, N: int) -> tuple:
     upper = _rate_bound(_automaton(below, above, widen=True), lower=False)
     # h >= 0 for every map, so 1 bounds e^h from below whatever vector the iteration proposed
     return max(lower, Fraction(1)), upper
+
+
+def _proved_enclosure(m: LorenzMap) -> tuple:
+    """lap_enclosure(m, N) at the first N of the order rule the module docstring states."""
+    order = ENCLOSURE_START
+    while True:
+        low, high = lap_enclosure(m, order)
+        if math.log(high / low) <= ENCLOSURE_LN_WIDTH or order == MAX_ITERATES:
+            return low, high
+        order = min(2 * order, MAX_ITERATES)
 
 
 def _automaton(below: list, above: list, widen: bool) -> list:
@@ -291,7 +307,7 @@ def lap_counts_bruteforce(m: LorenzMap, n: int, grid: int = 10**5) -> list:
     oracle for small n: an n at which c_max^n overflows binary64 raises
     DomainError before any sampling.
     """
-    # the one numpy user of this module: importing the lap estimator loads no numpy
+    # numpy's one other user in this module is _rate_bound: importing the lap estimator loads no numpy
     import numpy as np
 
     if n < 1:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -39,7 +38,7 @@ from .errors import (
     ResourceLimit,
 )
 from .estimates import LAPS, SPECTRAL, EntropyEstimate
-from .laps import MAX_ITERATES, entropy_laps, lap_enclosure, lap_parameters
+from .laps import _proved_enclosure, entropy_laps, lap_parameters
 from .maps import UPPER, BranchPair, LorenzMap, _coerce, fmt_number
 from .spectral import entropy_spectral, spectral_parameters
 
@@ -51,10 +50,6 @@ BUMP = "bump"
 
 CSV_FIELDS = ("p", "entropy", "gamma", "method", "order", "error_bound", "status")
 
-#: a feature's proof starts each lap enclosure at this automaton order and doubles it until the
-#: enclosure's ln-width is at most ENCLOSURE_LN_WIDTH, or the order reaches MAX_ITERATES
-ENCLOSURE_START = 40
-ENCLOSURE_LN_WIDTH = 1e-7
 #: a sweep grid of more points raises ResourceLimit before any point is built; a serial
 #: 2000-point spectral sweep of (1.1, 1.9) held 410 B per record, so 0.4 GB at this cap (2-core x86)
 MAX_POINTS = 10**6
@@ -325,17 +320,6 @@ def compare_methods(records_a, records_b):
     return float(diffs[i]), float(diffs.mean()), float(ps[i])
 
 
-def _proved_enclosure(bp: BranchPair, p) -> tuple:
-    """lap_enclosure at p; its order starts at ENCLOSURE_START and doubles until ENCLOSURE_LN_WIDTH or MAX_ITERATES."""
-    m = LorenzMap(bp, p, UPPER)
-    order = ENCLOSURE_START
-    while True:
-        low, high = lap_enclosure(m, order)
-        if math.log(high / low) <= ENCLOSURE_LN_WIDTH or order == MAX_ITERATES:
-            return low, high
-        order = min(2 * order, MAX_ITERATES)
-
-
 def cross_confirm_features(bp: BranchPair, records, features, *, workers: int | None = None) -> list:
     """The features that lap enclosures prove, each with ``proved`` set, in input order.
 
@@ -344,16 +328,16 @@ def cross_confirm_features(bp: BranchPair, records, features, *, workers: int | 
     strictly above them; so h(p) is proved to fall and rise again (or rise
     and fall) across the feature, whatever method drew the curve.  The
     features must come from ``detect_nonmonotonic(records, ...)``: each p
-    they name is one of the records' grid points, and its enclosure
-    (``laps.lap_enclosure``, at the exact grid point) is computed once for
-    all features, on ``workers`` processes as in ``sweep``: the calling one
-    and ``workers`` - 1 forked ones.
+    they name is one of the records' grid points, and its enclosure (the
+    ``laps`` order rule's, on the upper map at the exact grid point) is
+    computed once for all features, on ``workers`` processes as in
+    ``sweep``: the calling one and ``workers`` - 1 forked ones.
     """
     if not features:
         return []
     exact = {float(r.p): r.p for r in records}
     named = sorted({p for f in features for p in (f.p_peak, f.p_left_base, f.p_right_base)})
-    enclosure = dict(zip(named, _run_points(partial(_proved_enclosure, bp), [exact[p] for p in named], workers)))
+    enclosure = dict(zip(named, _run_points(_proved_enclosure, [LorenzMap(bp, exact[p]) for p in named], workers)))
     confirmed = []
     for feat in features:
         (peak_low, peak_high), *bases = (enclosure[p] for p in (feat.p_peak, feat.p_left_base, feat.p_right_base))

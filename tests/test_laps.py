@@ -463,6 +463,20 @@ def _ln_fraction(x):
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+@pytest.fixture
+def enclosure_orders(monkeypatch):
+    # the orders passed to laps.lap_enclosure, in call order
+    asked = []
+    enclosure = laps.lap_enclosure
+
+    def recording(m, order):
+        asked.append(order)
+        return enclosure(m, order)
+
+    monkeypatch.setattr(laps, "lap_enclosure", recording)
+    return asked
+
+
 class TestLapEnclosure:
     """lap_enclosure(m, N) = (lambda, mu) proves lambda <= e^h <= mu, as the laps module docstring states."""
 
@@ -525,9 +539,20 @@ class TestLapEnclosure:
             assert _paths_from_start(lower, state.step) <= state.total_laps <= _paths_from_start(upper, state.step)
 
     @pytest.mark.parametrize("p", [F(51, 100), F(3, 5), F(7, 10)])
-    def test_paper_points_within_1e_7_at_order_160(self, p):
-        low, high = laps.lap_enclosure(LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), p), 160)
+    def test_paper_points_within_1e_7_at_order_160(self, enclosure_orders, p):
+        # so a proof's order rule, from ENCLOSURE_START = 40, doubles twice and stops at ENCLOSURE_LN_WIDTH
+        low, high = laps._proved_enclosure(LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), p))
+        assert enclosure_orders == [40, 80, 160]
         assert 0 < _ln_fraction(high) - _ln_fraction(low) <= 1e-7
+
+    def test_order_rule_stops_at_the_cap_read_at_each_call(self, enclosure_orders, monkeypatch):
+        # a low-slope point too wide at order 80 stops there once the cap is 80, and returns that enclosure
+        monkeypatch.setattr(laps, "MAX_ITERATES", 80)
+        m = LorenzMap(make_affine_pair(F(101, 100), F(19, 10)), F(4869, 10000))
+        low, high = laps._proved_enclosure(m)
+        assert enclosure_orders == [40, 80]
+        assert (low, high) == laps.lap_enclosure(m, 80)
+        assert _ln_fraction(high) - _ln_fraction(low) > laps.ENCLOSURE_LN_WIDTH
 
     def test_order_checked_before_any_step(self):
         m = LorenzMap(make_uniform_pair(F(3, 2)), F(1, 2))

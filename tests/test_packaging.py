@@ -53,19 +53,33 @@ def test_scipy_is_a_test_dependency_only():
     assert [extra for extra, reqs in extras.items() if "scipy" in reqs] == ["test"]
 
 
-def test_each_default_is_named_only_by_its_estimator():
-    # the estimators' parameter functions read None as these defaults; no other module names them
-    owned = {"DEFAULT_ORDER", "DEFAULT_ITERATES", "DEFAULT_WINDOW"}
+@pytest.mark.parametrize(
+    "constant",
+    [
+        "DEFAULT_ORDER",
+        "DEFAULT_ITERATES",
+        "DEFAULT_WINDOW",
+        "MAX_ITERATES",
+        "MAX_STEPS",
+        "MAX_POINTS",
+        "MAX_EXPONENT",
+        "ENCLOSURE_START",
+        "ENCLOSURE_LN_WIDTH",
+    ],
+)
+def test_each_constant_is_named_only_by_its_module(constant):
+    # the module that assigns a default, a cap or an order rule's constant reads it; no other module names it,
+    # so a test that patches it there changes every use
     sources = {path.name: ast.parse(path.read_text(), str(path)) for path in (ROOT / "src" / "lorenzmaps").glob("*.py")}
-    owners = {
-        target.id: name
+    owners = [
+        name
         for name, tree in sources.items()
         for node in tree.body
         if isinstance(node, ast.Assign)
         for target in node.targets
-        if isinstance(target, ast.Name) and target.id in owned
-    }
-    assert sorted(owners) == sorted(owned)
+        if isinstance(target, ast.Name) and target.id == constant
+    ]
+    assert len(owners) == 1, owners
     stray = set()
     for name, tree in sources.items():
         for node in ast.walk(tree):
@@ -77,13 +91,14 @@ def test_each_default_is_named_only_by_its_estimator():
                 found = [alias.name for alias in node.names]
             else:
                 continue
-            stray.update((name, ref) for ref in found if ref in owned and owners[ref] != name)
+            if constant in found and name not in owners:
+                stray.add(name)
     assert sorted(stray) == []
 
 
 def test_every_cap_the_readme_cites_is_a_module_constant():
-    # a cap deleted from the package must not linger in the docs
-    cited = set(re.findall(r"\bMAX_[A-Z_]+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    # a cap or an order rule's constant deleted or renamed in the package must not linger in the docs
+    cited = set(re.findall(r"\b(?:MAX|ENCLOSURE)_[A-Z_]+", (ROOT / "README.md").read_text(encoding="utf-8")))
     constants = {
         target.id
         for path in (ROOT / "src" / "lorenzmaps").glob("*.py")

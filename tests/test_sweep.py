@@ -22,6 +22,7 @@ from lorenzmaps import (
     GridMismatch,
     InsufficientData,
     LorenzError,
+    LorenzMap,
     RangeError,
     ResourceLimit,
     SweepRecord,
@@ -424,7 +425,7 @@ class TestCrossConfirm:
         # one batch per call, each peak and base evaluated once, at the exact grid point of the sweep
         assert len(batches) == 2
         named = {p for f in features for p in (f.p_peak, f.p_left_base, f.p_right_base)}
-        assert batches[0] == sorted(r.p for r in records if float(r.p) in named)
+        assert [m.p for m in batches[0]] == sorted(r.p for r in records if float(r.p) in named)
 
     def test_a_lap_sweep_is_proved_as_a_spectral_one(self, monkeypatch):
         # features of a lap curve are proved by lap enclosures too; neither estimator runs again
@@ -459,12 +460,12 @@ class TestCrossConfirm:
         bump = next(f for f in features if f.direction == BUMP)
         exact = {float(r.p): r.p for r in records}
         enclosure = sweep_module._proved_enclosure
-        top = enclosure(bp, exact[bump.p_right_base])[1] + gap
-        assert top < enclosure(bp, exact[bump.p_peak])[0]  # so (top, high) widens the peak's enclosure
+        top = enclosure(LorenzMap(bp, exact[bump.p_right_base]))[1] + gap
+        assert top < enclosure(LorenzMap(bp, exact[bump.p_peak]))[0]  # so (top, high) widens the peak's enclosure
 
-        def widened(bp, p):
-            low, high = enclosure(bp, p)
-            return (top, high) if p == exact[bump.p_peak] else (low, high)
+        def widened(m):
+            low, high = enclosure(m)
+            return (top, high) if m.p == exact[bump.p_peak] else (low, high)
 
         monkeypatch.setattr(sweep_module, "_proved_enclosure", widened)
         assert (dataclasses.replace(bump, proved=True) in cross_confirm_features(bp, records, features)) == proved
@@ -492,7 +493,7 @@ class TestProofRule:
         [feature] = detect_nonmonotonic(records, 0.01)
         assert feature.direction == direction
         table = {p: (F(lo), F(hi)) for p, (lo, hi) in zip(self.GRID, enclosures)}
-        monkeypatch.setattr(sweep_module, "_proved_enclosure", lambda bp, p: table[p])
+        monkeypatch.setattr(sweep_module, "_proved_enclosure", lambda m: table[m.p])
         bp = make_affine_pair(F(11, 10), F(19, 10))
         expected = [dataclasses.replace(feature, proved=True)] if proved else []
         assert cross_confirm_features(bp, records, [feature]) == expected

@@ -8,10 +8,13 @@ identical images merge by adding multiplicities.  A class [lo, hi] maps
 end by end, lo by the upper map and hi by the lower: the two differ only
 at p, and lo = p only right of p, where f1 acts, hi = p only left of p,
 where f0 acts.  A class with lo < p < hi splits into [T(lo), f0(p)] and
-[f1(p), T(hi)].  So a left end is 0 or T^j(p) on the upper orbit of p,
-a right end 1 or T^i(p) on the lower orbit, with 1 <= i, j <= step.  The
-multiplicities carry the exponential lap growth as exact big integers;
-the classes stay few.
+[f1(p), T(hi)].  So each class is [L_j, R_i] for an index pair (j, i),
+where L_0 = 0, R_0 = 1, L_j = T^j(p) on the upper orbit of p and
+R_i = T^i(p) on the lower; the one lap of T^0 is (0, 0), and a step
+sends (j, i) to (j+, 1) and (1, i+) when L_j < p < R_i, else to
+(j+, i+), where k+ is 0 for k = 0 and k + 1 otherwise: a fixed end
+stays, an orbit end moves on (``_moves``).  The multiplicities carry the
+exponential lap growth as exact big integers; the classes stay few.
 
 Step n has at most 2n classes.  Each class is the image T^n(J) of a lap J
 of T^n, an interval whose ends are 0, 1 or cuts: a cut is made at step m
@@ -25,33 +28,27 @@ n - m - 1 steps.  So y, and with it T^n(J) = T^(n-m)((p, y)), depends
 only on the age a = n - m, and a >= 2 since y must return at least once.
 That is at most one class per left age a in [2, n], and symmetrically one
 per right age: at most 2 + 2(n - 1) = 2n classes in all.  Step 1 at an
-interior p has exactly 2, so the bound is tight.  Each map is cached for
-the call, so it maps each point once.  Steps 1 to n move the ends of
-steps 0 to n - 1: the upper map sees p, 0 and the upper orbit up to
-T^(n-1)(p), the lower map p, 1 and the lower orbit up to T^(n-1)(p).
-That is n + 1 points each: at most 2n + 2 branch evaluations per call.
+interior p has exactly 2, so the bound is tight.
 
 The arithmetic is exact, as every map is, so classes merge only when
 their images are equal.  ``variation`` is the sum of lap-image lengths,
 the quantity whose exponential growth rate is the entropy; for a uniform
 slope-b pair it equals b^n to the last digit.
 
-One generator, ``_propagate``, yields each step's LapState and holds only
-the current classes, so a caller holds what it keeps: ``lap_states`` keeps
-every step, ``lap_count`` the last.  ``lap_report`` propagates once, keeps
-ln Var at the three steps its windowed estimate reads, and returns the
-estimate with the LapState of T^n: ``laps`` prints both, and
-``entropy_laps``, which each lap sweep row runs, the estimate.
+One generator, ``_propagate``, yields each step's LapState.  It moves
+index pairs on the orbits that ``_end_orbits`` walks, one LorenzMap.orbit
+a side and 2n branch evaluations a call, and merges pairs with equal
+images, as at a periodic p.  It holds only the orbits and the current
+pairs, so a caller holds what it keeps: ``lap_states`` keeps every step,
+``lap_count`` the last.  ``lap_report`` propagates once, keeps ln Var at
+the three steps its windowed estimate reads, and returns the estimate
+with the LapState of T^n: ``laps`` prints both, and ``entropy_laps``,
+which each lap sweep row runs, the estimate.
 
-The lap automaton.  Write L_0 = 0, R_0 = 1, L_j = T^j(p) on the upper
-orbit and R_i = T^i(p) on the lower orbit.  Every class is [L_j, R_i] for
-an index pair (j, i), the one lap of T^0 is (0, 0), and a step sends
-(j, i) to (j+, 1) and (1, i+) when L_j < p < R_i, else to (j+, i+), where
-k+ is 0 for k = 0 and k + 1 otherwise: a fixed end stays, an orbit end
-moves on.  Merging equal images adds multiplicities, so total_laps at step
-n is the number of paths of length n from (0, 0).  ``lap_enclosure``
-bounds their growth with two finite automata of order N, whose states are
-the pairs reachable from (0, 0) with both indices at most N:
+The lap automaton.  As merging adds multiplicities, total_laps at step n
+is the number of paths of length n from (0, 0), which ``lap_enclosure``
+bounds with two finite automata of order N, whose states are the pairs
+reachable from (0, 0) with both indices at most N:
 
 - the lower automaton drops every move into an index above N; its paths
   are some of the laps;
@@ -88,11 +85,11 @@ tie g to the entropy:
 
 A damped power iteration in binary64 only proposes v; the bounds hold for
 whatever v it proposes, and only their width depends on it.  Both
-automata read the orbits of p through ``LorenzMap.apply``, not the
-kneading walk, so the two estimators share no orbit code.  A proof's
-enclosure (``_proved_enclosure``, which ``sweep.cross_confirm_features``
-runs) starts at order ENCLOSURE_START and doubles it until ln(mu / lambda)
-is at most ENCLOSURE_LN_WIDTH, or the order reaches MAX_ITERATES.
+automata read the orbits of p from ``_end_orbits`` (LorenzMap.orbit), not
+the kneading walk, so the two estimators share no orbit code.  A proof's
+enclosure (``_proved_enclosure``, run by ``sweep.cross_confirm_features``)
+starts at order min(ENCLOSURE_START, MAX_ITERATES) and doubles it until
+ln(mu / lambda) <= ENCLOSURE_LN_WIDTH or the order reaches MAX_ITERATES.
 """
 
 from __future__ import annotations
@@ -109,8 +106,8 @@ from .maps import LOWER, UPPER, BranchPair, BranchSpec, LorenzMap
 
 DEFAULT_ITERATES = 50
 DEFAULT_WINDOW = 10
-#: propagation raises ResourceLimit past this many steps, before the first one; the lap
-#: estimate at this order took 23-32 s and 18 MB peak RSS on the (1.1, 1.9) and (1.05, 1.9) pairs (2-core x86)
+#: propagation raises ResourceLimit past this many steps, before the first one; the lap estimate at this
+#: order took 20-28 s and 18 MB peak RSS on (1.1, 1.9) at p = 7/10 and (1.05, 1.9) at p = 3/5 (2-core x86)
 MAX_ITERATES = 1000
 
 
@@ -144,23 +141,36 @@ def _check_iterates(n: int) -> None:
 def _propagate(m: LorenzMap, n: int):
     """Yield the LapState after each of the first n steps, propagated from the one lap [0, 1] of T^0.
 
-    Holds only the current classes and the two map caches, so a caller
-    that keeps one state holds one step.  An n past MAX_ITERATES raises
-    ResourceLimit before any step.
+    A caller that keeps one state holds one step and the orbits of p.  An
+    n past MAX_ITERATES raises ResourceLimit before any step.
     """
     _check_iterates(n)
-    # left ends move by the upper map, right ends by the lower; each maps each point once, for this call only
-    up, down = (functools.cache(LorenzMap(m.branches, m.p, side).apply) for side in (UPPER, LOWER))
-    p = m.p
-    classes = {(Fraction(0), Fraction(1)): 1}
+    lefts, rights, below, above = _end_orbits(m, n)
+    pairs = {(0, 0): 1}
     for step in range(1, n + 1):
         new = {}
-        for (lo, hi), mult in classes.items():
-            images = ((up(lo), down(p)), (up(p), down(hi))) if lo < p < hi else ((up(lo), down(hi)),)
-            for img in images:
-                new[img] = new.get(img, 0) + mult
-        classes = new
+        for (j, i), mult in pairs.items():
+            for move in _moves(j, i, below[j] and above[i]):
+                new[move] = new.get(move, 0) + mult
+        pairs, classes = new, {}
+        for (j, i), mult in pairs.items():
+            img = lefts[j], rights[i]  # at a periodic or preperiodic p two pairs can share an image
+            classes[img] = classes.get(img, 0) + mult
         yield LapState(step, tuple(classes.items()))
+
+
+def _end_orbits(m: LorenzMap, n: int) -> tuple:
+    """(L_0..L_n, R_0..R_n, below, above): the class ends of the module docstring and the split tests."""
+    p = m.p
+    lefts = [Fraction(0), *LorenzMap(m.branches, p, UPPER).orbit(p, n)[1:]]
+    rights = [Fraction(1), *LorenzMap(m.branches, p, LOWER).orbit(p, n)[1:]]
+    return lefts, rights, [x < p for x in lefts], [x > p for x in rights]
+
+
+def _moves(j: int, i: int, split: bool) -> tuple:
+    """The index pairs a step sends (j, i) to: (j+, 1) and (1, i+) if ``split``, else (j+, i+)."""
+    j1, i1 = j and j + 1, i and i + 1  # a fixed end (index 0) stays, an orbit end moves on
+    return ((j1, 1), (1, i1)) if split else ((j1, i1),)
 
 
 #: the power iteration stops once the ratios (Av)_s / v_s of the states it keeps agree to this
@@ -182,15 +192,7 @@ def lap_enclosure(m: LorenzMap, N: int) -> tuple:
     ResourceLimit before any step.
     """
     _check_iterates(N)
-    p = m.p
-    up, down = (LorenzMap(m.branches, p, side).apply for side in (UPPER, LOWER))
-    # the split test reads L_j < p and R_i > p; L_0 = 0 and R_0 = 1 pass both
-    below, above = [True], [True]
-    left = right = p
-    for _ in range(N):
-        left, right = up(left), down(right)
-        below.append(left < p)
-        above.append(right > p)
+    below, above = _end_orbits(m, N)[2:]
     lower = _rate_bound(_automaton(below, above, widen=False), lower=True)
     upper = _rate_bound(_automaton(below, above, widen=True), lower=False)
     # h >= 0 for every map, so 1 bounds e^h from below whatever vector the iteration proposed
@@ -199,7 +201,7 @@ def lap_enclosure(m: LorenzMap, N: int) -> tuple:
 
 def _proved_enclosure(m: LorenzMap) -> tuple:
     """lap_enclosure(m, N) at the first N of the order rule the module docstring states."""
-    order = ENCLOSURE_START
+    order = min(ENCLOSURE_START, MAX_ITERATES)
     while True:
         low, high = lap_enclosure(m, order)
         if math.log(high / low) <= ENCLOSURE_LN_WIDTH or order == MAX_ITERATES:
@@ -218,10 +220,8 @@ def _automaton(below: list, above: list, widen: bool) -> list:
     number = {(0, 0): 0}
     states, children = [(0, 0)], []
     for j, i in states:  # the walk appends the states it meets as it goes
-        j1, i1 = j and j + 1, i and i + 1  # a fixed end (index 0) stays, an orbit end moves on
-        moves = ((j1, 1), (1, i1)) if below[j] and above[i] else ((j1, i1),)
         kids = []
-        for move in moves:
+        for move in _moves(j, i, below[j] and above[i]):
             if max(move) > order:
                 if not widen:
                     continue

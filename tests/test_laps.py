@@ -354,14 +354,13 @@ class TestEndOrbits:
 
 
 class TestMappedOnce:
-    """Each orbit point is mapped once per branch, with the states and estimates of the unmemoised loop.
+    """Each side's orbit of p is walked once, with the states and estimates of the unmemoised loop.
 
     A state keeps its classes in propagation order, so they are compared as sorted lists.
     """
 
-    @settings(max_examples=40, deadline=None)
-    @given(_random_map(), st.integers(2, 40), st.integers(1, 12))
-    def test_matches_unmemoised_propagation(self, m, n, window):
+    @staticmethod
+    def assert_matches_reference(m, n, window):
         want = _lap_states_reference(m, n)
         got = lap_states(m, n)
         assert [s.step for s in got] == [s.step for s in want]
@@ -369,7 +368,17 @@ class TestMappedOnce:
         if n > window:
             assert entropy_laps(m, n, window) == _lap_estimate_reference(want, window)
 
-    def test_a_call_maps_at_most_2n_plus_2_points(self, monkeypatch, draw_affine):
+    @settings(max_examples=40, deadline=None)
+    @given(_random_map(), st.integers(2, 40), st.integers(1, 12))
+    def test_matches_unmemoised_propagation(self, m, n, window):
+        self.assert_matches_reference(m, n, window)
+
+    @_EXPLICIT_MAPS
+    def test_explicit_maps_match_unmemoised_propagation(self, m):
+        # two index pairs share one image in each of these maps, so every run checks the merge
+        self.assert_matches_reference(m, 30, 10)
+
+    def test_a_call_maps_exactly_2n_points(self, monkeypatch, draw_affine):
         calls = {}
         call = BranchSpec.__call__
 
@@ -385,7 +394,7 @@ class TestMappedOnce:
             calls.clear()
             lap_states(m, n)
             assert set(calls) <= {id(m.branches.f0), id(m.branches.f1)}
-            assert sum(calls.values()) <= 2 * n + 2
+            assert sum(calls.values()) == 2 * n  # one orbit walk of n steps per side
 
 
 class TestClassBound:
@@ -553,6 +562,14 @@ class TestLapEnclosure:
         assert enclosure_orders == [40, 80]
         assert (low, high) == laps.lap_enclosure(m, 80)
         assert _ln_fraction(high) - _ln_fraction(low) > laps.ENCLOSURE_LN_WIDTH
+
+    def test_order_rule_starts_at_a_cap_below_its_start(self, enclosure_orders, monkeypatch):
+        # a cap below ENCLOSURE_START = 40 is the one order asked, not a ResourceLimit
+        monkeypatch.setattr(laps, "MAX_ITERATES", 20)
+        m = LorenzMap(make_affine_pair(F(11, 10), F(19, 10)), F(3, 5))
+        low, high = laps._proved_enclosure(m)
+        assert enclosure_orders == [20]
+        assert (low, high) == laps.lap_enclosure(m, 20)
 
     def test_order_checked_before_any_step(self):
         m = LorenzMap(make_uniform_pair(F(3, 2)), F(1, 2))
